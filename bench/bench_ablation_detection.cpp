@@ -16,9 +16,6 @@
 //     memory pc; accesses proved safe at the detector's granularity skip
 //     their shadow check entirely. Reported races must be identical —
 //     the filter only removes provably-redundant check work.
-#include <set>
-#include <utility>
-
 #include "bench/harness.hpp"
 #include "isa/builder.hpp"
 
@@ -154,14 +151,8 @@ int main() {
     // be identical. Raw record counts are timing-sensitive (filtering
     // changes shadow traffic, which shifts warp interleaving and thus
     // which pc gets blamed for a granule), so they are not compared.
-    auto locations = [](const sim::SimResult& r) {
-      std::set<std::pair<u8, Addr>> out;
-      for (const auto& race : r.races.races())
-        out.insert({static_cast<u8>(race.space), race.granule_addr});
-      return out;
-    };
-    const auto base_locs = locations(base);
-    const auto filt_locs = locations(filt);
+    const auto base_locs = rd::race_locations(base.races);
+    const auto filt_locs = rd::race_locations(filt.races);
     const bool match = base_locs == filt_locs;
     all_match = all_match && match;
     static_table.add_row({info.name, std::to_string(checked), std::to_string(filtered),

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <set>
-#include <tuple>
 
 #include "analysis/static_race.hpp"
 #include "swrace/grace.hpp"
@@ -33,19 +31,6 @@ rd::HaccrgConfig detection_word(bool static_filter) {
   cfg.global_granularity = 4;
   cfg.static_filter = static_filter;
   return cfg;
-}
-
-/// (space, sm, granule) location identity, as in the differential suite
-/// (shared granules are SM-local, so the SM id disambiguates them).
-using LocationSet = std::set<std::tuple<int, u32, Addr>>;
-
-LocationSet locations(const rd::RaceLog& log) {
-  LocationSet out;
-  for (const rd::RaceRecord& race : log.races()) {
-    const u32 sm = race.space == rd::MemSpace::kShared ? race.sm_id : 0;
-    out.insert({static_cast<int>(race.space), sm, race.granule_addr});
-  }
-  return out;
 }
 
 struct HwRun {
@@ -220,7 +205,7 @@ CaseResult run_case(const KernelSpec& spec, const CampaignConfig& config, u32 ca
         run_hw(kernel, detection_word(true), 1, config.max_cycles, "", nullptr, true);
     if (!filtered.completed)
       fail("hw run (static filter) did not complete: " + filtered.error);
-    else if (locations(filtered.races) != locations(base.races))
+    else if (rd::race_locations(filtered.races) != rd::race_locations(base.races))
       fail("static filter ablation changed the racy location set");
   }
 

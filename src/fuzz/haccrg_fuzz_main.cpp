@@ -57,7 +57,7 @@ int usage(const char* error = nullptr) {
       "options:\n"
       "  --seed N             base seed (default 1)\n"
       "  --count N            kernels to generate/run (default 200 for run)\n"
-      "  --scratch DIR        trace scratch dir (default /tmp, per-pid)\n"
+      "  --scratch DIR        existing trace scratch dir (default /tmp, per-pid)\n"
       "  --save-failures DIR  write shrunk failing specs into DIR\n"
       "  --class NAME         shrink target: a race class, not a violation\n"
       "                       (shared-epoch, global-epoch, fence, lockset,\n"
@@ -115,13 +115,33 @@ bool write_file(const std::string& path, const std::string& text) {
   return out.good();
 }
 
-/// Scratch directory for trace files; empty string on failure.
-std::string make_scratch(const Cli& cli) {
-  if (!cli.scratch.empty()) return cli.scratch;
+/// Point `campaign` at a trace scratch directory when its replay check
+/// needs one; false, after a diagnosis, on failure. A user-given
+/// --scratch must already be a writable directory: checking it here
+/// makes a bad path an I/O error (exit 3) before any case runs, instead
+/// of a trace-write violation in every one.
+bool set_scratch(const Cli& cli, fuzz::CampaignConfig& campaign) {
+  campaign.scratch_dir.clear();
+  if (!campaign.check_replay) return true;
+  if (!cli.scratch.empty()) {
+    struct stat st {};
+    if (stat(cli.scratch.c_str(), &st) != 0 || !S_ISDIR(st.st_mode) ||
+        access(cli.scratch.c_str(), W_OK | X_OK) != 0) {
+      std::fprintf(stderr, "haccrg-fuzz: scratch directory '%s' is missing or not writable\n",
+                   cli.scratch.c_str());
+      return false;
+    }
+    campaign.scratch_dir = cli.scratch;
+    return true;
+  }
   const std::string dir =
       "/tmp/haccrg-fuzz-" + std::to_string(static_cast<unsigned>(getpid()));
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) return "";
-  return dir;
+  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    std::fprintf(stderr, "haccrg-fuzz: cannot create scratch directory '%s'\n", dir.c_str());
+    return false;
+  }
+  campaign.scratch_dir = dir;
+  return true;
 }
 
 void print_violations(const std::string& name, const std::vector<std::string>& violations) {
@@ -166,11 +186,7 @@ int cmd_generate(const Cli& cli) {
 
 int cmd_run(const Cli& cli) {
   Cli local = cli;
-  local.campaign.scratch_dir = local.campaign.check_replay ? make_scratch(cli) : "";
-  if (local.campaign.check_replay && local.campaign.scratch_dir.empty()) {
-    std::fprintf(stderr, "haccrg-fuzz: cannot create scratch directory\n");
-    return 3;
-  }
+  if (!set_scratch(cli, local.campaign)) return 3;
   const u32 count = cli.count == 0 ? 200 : cli.count;
   const fuzz::CampaignSummary summary =
       fuzz::run_campaign(cli.seed, count, cli.fuzz_config, local.campaign, cli.progress);
@@ -217,7 +233,7 @@ int cmd_shrink(const Cli& cli) {
     if (!found) return usage(("unknown race class '" + cli.shrink_class + "'").c_str());
   } else {
     Cli local = cli;
-    local.campaign.scratch_dir = local.campaign.check_replay ? make_scratch(cli) : "";
+    if (!set_scratch(cli, local.campaign)) return 3;
     pred = fuzz::violation_predicate(local.campaign);
   }
 
@@ -288,7 +304,7 @@ int cmd_corpus(const Cli& cli) {
   }
 
   Cli local = cli;
-  local.campaign.scratch_dir = local.campaign.check_replay ? make_scratch(cli) : "";
+  if (!set_scratch(cli, local.campaign)) return 3;
   u32 failures = 0;
   u32 index = 0;
   for (const std::string& path : files) {

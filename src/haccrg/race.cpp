@@ -139,4 +139,10 @@ std::string RaceLog::summary() const {
   return out.str();
 }
 
+std::set<RaceLocation> race_locations(const RaceLog& log) {
+  std::set<RaceLocation> out;
+  for (const RaceRecord& race : log.races()) out.insert({race.space, race.granule_addr});
+  return out;
+}
+
 }  // namespace haccrg::rd

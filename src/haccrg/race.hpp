@@ -1,7 +1,9 @@
 // Race records and the deduplicating race log.
 #pragma once
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -122,5 +124,14 @@ class RaceLog {
   std::vector<Slot> seen_;
   std::vector<RaceRecord> races_;
 };
+
+/// A racy location: (space, granule address).
+using RaceLocation = std::pair<MemSpace, Addr>;
+
+/// The set of racy locations in `log`, the key for comparing which
+/// locations two runs report racy. The SM is left out on purpose:
+/// RaceLog dedups without it, so a shared race's sm_id names whichever
+/// SM logged the race first, which is a timing artifact, not a location.
+std::set<RaceLocation> race_locations(const RaceLog& log);
 
 }  // namespace haccrg::rd

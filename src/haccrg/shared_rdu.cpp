@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "haccrg/sharding.hpp"
+
 namespace haccrg::rd {
 
 namespace {

@@ -123,9 +123,9 @@ class Interconnect {
     return !request_staging_[sm].empty() || (!retry_.empty() && !retry_[sm].empty());
   }
   /// Total packets awaiting injection across all SMs (staged + parked
-  /// retries, ripe or not). The engine uses this to skip the serial
-  /// commit sub-phase on idle cycles; it is a pure census, so calling it
-  /// does not perturb arbitration.
+  /// retries, ripe or not). commit_requests uses it to return early on
+  /// idle cycles; it is a pure census, so calling it does not perturb
+  /// arbitration.
   u64 pending_requests() const {
     u64 pending = 0;
     for (const auto& queue : request_staging_) pending += queue.size();

@@ -66,6 +66,13 @@ struct RaceExpectation {
   bool expect_global_race;
 };
 
+// Without this, gtest prints the struct's raw bytes, which include the heap
+// pointer of `name`, and the ctest names discovered from that output change
+// with every run.
+void PrintTo(const RaceExpectation& expect, std::ostream* os) {
+  *os << expect.name << (expect.expect_global_race ? " (racy)" : " (race-free)");
+}
+
 class BenchmarkRaces : public ::testing::TestWithParam<RaceExpectation> {};
 
 TEST_P(BenchmarkRaces, GlobalRacesMatchPaper) {

@@ -48,13 +48,9 @@ rd::HaccrgConfig detection_word(bool static_filter) {
   return cfg;
 }
 
-/// (space, sm, granule) triples of every unique recorded race. Shared
-/// granules are SM-local addresses, so the SM id disambiguates them.
-using LocationSet = std::set<std::tuple<int, u32, Addr>>;
-
 struct HwRun {
   bool completed = false;
-  LocationSet locations;
+  std::set<rd::RaceLocation> locations;
   std::set<u32> race_pcs;
   u64 unique_races = 0;
   u64 filtered_checks = 0;
@@ -77,11 +73,8 @@ HwRun run_hw(const std::string& name, bool static_filter) {
   run.completed = r.completed;
   run.unique_races = r.races.unique();
   run.filtered_checks = r.stats.get("rd.static_filtered");
-  for (const rd::RaceRecord& race : r.races.races()) {
-    const u32 sm = race.space == rd::MemSpace::kShared ? race.sm_id : 0;
-    run.locations.insert({static_cast<int>(race.space), sm, race.granule_addr});
-    run.race_pcs.insert(race.pc);
-  }
+  run.locations = rd::race_locations(r.races);
+  for (const rd::RaceRecord& race : r.races.races()) run.race_pcs.insert(race.pc);
   return run;
 }
 

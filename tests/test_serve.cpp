@@ -23,6 +23,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sim/gpu.hpp"
+#include "temp_path.hpp"
 #include "trace/index.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -57,7 +58,7 @@ rd::HaccrgConfig detection_combined() {
 /// Record one kernel and return the trace file image. `with_index`
 /// selects v2 (indexed) or v1 (linear-fallback) output.
 std::vector<u8> record_trace(const std::string& name, bool with_index, const std::string& tag) {
-  const std::string path = "test_serve_" + tag + ".trc";
+  const std::string path = testing_util::temp_path("test_serve_" + tag + ".trc");
   {
     sim::SimConfig sim_cfg;
     sim_cfg.trace_path = path;

@@ -17,6 +17,7 @@
 #include "kernels/common.hpp"
 #include "kernels/injection.hpp"
 #include "sim/gpu.hpp"
+#include "temp_path.hpp"
 #include "trace/replay.hpp"
 
 namespace haccrg {
@@ -45,7 +46,7 @@ rd::HaccrgConfig detection_combined() {
 /// Record `name` under `opts` and decode the whole trace.
 void record_decoded(const std::string& name, const BenchOptions& opts, const std::string& tag,
                     trace::DecodedTrace& out) {
-  const std::string path = "test_shard_" + tag + ".trc";
+  const std::string path = testing_util::temp_path("test_shard_" + tag + ".trc");
   {
     sim::SimConfig sim_cfg;
     sim_cfg.trace_path = path;

@@ -1,13 +1,17 @@
 // End-to-end smoke tests of the simulator: functional correctness of
 // simple kernels, divergence handling, barrier semantics, and that the
-// baseline (detection off) reports no races.
+// baseline (detection off) reports no races. Also pins the engine's
+// WorkerPool::chunk_bounds split: balanced contiguous chunks that cover
+// [0, count) exactly and never overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "isa/builder.hpp"
 #include "sim/gpu.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace haccrg {
 namespace {
@@ -338,6 +342,61 @@ TEST(SimBasic, FenceCompletesAndCountsAreSane) {
   ASSERT_TRUE(result.completed) << result.error;
   EXPECT_EQ(result.fences, n / 32);
   for (u32 i = 0; i < n; ++i) EXPECT_EQ(gpu.memory().read_u32(buf + i * 4), i + 1);
+}
+
+// --- WorkerPool::chunk_bounds ------------------------------------------------
+
+void expect_partition(u32 num_threads, u32 count) {
+  u32 covered = 0;
+  u32 prev_end = 0;
+  u32 max_chunk = 0, min_chunk = ~0u;
+  for (u32 w = 0; w < num_threads; ++w) {
+    const auto [begin, end] = sim::WorkerPool::chunk_bounds(w, num_threads, count);
+    EXPECT_EQ(begin, prev_end) << num_threads << " threads, " << count << " jobs, worker " << w;
+    EXPECT_LE(begin, end);
+    prev_end = end;
+    covered += end - begin;
+    max_chunk = std::max(max_chunk, end - begin);
+    min_chunk = std::min(min_chunk, end - begin);
+  }
+  EXPECT_EQ(prev_end, count);
+  EXPECT_EQ(covered, count);
+  // Balanced: chunk sizes differ by at most one.
+  EXPECT_LE(max_chunk - min_chunk, 1u) << num_threads << " threads, " << count << " jobs";
+}
+
+TEST(ChunkBounds, TenSmsOverFourWorkersIsBalanced) {
+  // The motivating case: the old ceil-chunk split gave 3,3,3,1 and the
+  // barrier waited on worker 0's oversized chunk every cycle.
+  u32 sizes[4];
+  for (u32 w = 0; w < 4; ++w) {
+    const auto [begin, end] = sim::WorkerPool::chunk_bounds(w, 4, 10);
+    sizes[w] = end - begin;
+  }
+  EXPECT_EQ(sizes[0], 2u);
+  EXPECT_EQ(sizes[1], 3u);
+  EXPECT_EQ(sizes[2], 2u);
+  EXPECT_EQ(sizes[3], 3u);
+}
+
+TEST(ChunkBounds, AwkwardCountsPartitionExactly) {
+  for (u32 threads : {1u, 2u, 3u, 4u, 7u, 8u, 64u}) {
+    for (u32 count : {0u, 1u, 2u, 3u, 7u, 8u, 10u, 41u, 63u, 64u, 65u, 1000u}) {
+      expect_partition(threads, count);
+    }
+  }
+}
+
+TEST(ChunkBounds, FewerJobsThanWorkersLeavesTailIdle) {
+  // 3 jobs over 8 workers: every job lands somewhere, some workers idle,
+  // and no worker gets more than one.
+  u32 busy = 0;
+  for (u32 w = 0; w < 8; ++w) {
+    const auto [begin, end] = sim::WorkerPool::chunk_bounds(w, 8, 3);
+    EXPECT_LE(end - begin, 1u);
+    busy += end - begin;
+  }
+  EXPECT_EQ(busy, 3u);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "sim/gpu.hpp"
 #include "swrace/grace.hpp"
 #include "swrace/sw_haccrg.hpp"
+#include "temp_path.hpp"
 #include "trace/replay.hpp"
 
 namespace haccrg {
@@ -52,7 +53,9 @@ rd::HaccrgConfig detection_word() {
   return cfg;
 }
 
-std::string trace_file(const std::string& tag) { return "test_trace_" + tag + ".trc"; }
+std::string trace_file(const std::string& tag) {
+  return testing_util::temp_path("test_trace_" + tag + ".trc");
+}
 
 /// Record `name` with tracing on; return the live result via `live_out`.
 void record(const std::string& name, const rd::HaccrgConfig& det, const BenchOptions& opts,

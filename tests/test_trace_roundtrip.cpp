@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -456,7 +457,7 @@ TEST(TraceResync, RecoversAfterDamagedRecord) {
 }
 
 TEST(TraceWriterReader, FileRoundTrip) {
-  const std::string path = "test_trace_roundtrip.trc";
+  const std::string path = testing_util::temp_path("test_trace_roundtrip.trc");
   const TraceHeader header = sample_header();
   Rng rng(5);
   std::vector<Event> events;
