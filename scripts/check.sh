@@ -163,6 +163,12 @@ if [[ $run_tier1 == 1 ]]; then
   fuzz_smoke build 200
   echo "--- serving smoke (tier-1 build) ---"
   serving_smoke build
+  # The benchmark's own test (about 3 minutes): builds perfbench's runner
+  # from src/ into the git-ignored .bench_build/ and runs every workload
+  # once, failing on a broken build, a missing metric or a failed
+  # correctness check.
+  echo "--- perfbench smoke test ---"
+  python3 perfbench/smoke_test.py
   # Tidy is warn-only: findings are cleanup candidates, not gate failures
   # (and the reference toolchain may lack clang-tidy entirely).
   echo "--- clang-tidy (warn-only) ---"

@@ -21,13 +21,17 @@ if [[ ! -x "$bin" ]]; then
   cmake --build "$build_dir" --target bench_hotpath -j "$(nproc 2>/dev/null || echo 2)"
 fi
 
+# The run's JSON goes into the build tree, so the gate never rewrites the
+# checked-in BENCH_hotpath.json at the repo root.
+json="$build_dir/BENCH_hotpath.json"
+
 if [[ ! -f scripts/perf_baseline.json ]]; then
   echo "perf_smoke: scripts/perf_baseline.json missing; recording one now" >&2
-  "$bin" --json BENCH_hotpath.json --write-baseline scripts/perf_baseline.json
+  "$bin" --json "$json" --write-baseline scripts/perf_baseline.json
   exit 0
 fi
 
-"$bin" --json BENCH_hotpath.json \
+"$bin" --json "$json" \
        --baseline scripts/perf_baseline.json \
        --max-regress 0.25
 
@@ -35,8 +39,8 @@ fi
 # BENCH_*.json writer embeds an "oversubscribed" flag when the engine
 # thread count exceeds hardware_concurrency, and KIPS measured that way
 # quantifies scheduler contention, not the simulator.
-if grep -q '"oversubscribed": true' BENCH_hotpath.json; then
-  echo "perf_smoke: WARNING — BENCH_hotpath.json was recorded with more engine" >&2
+if grep -q '"oversubscribed": true' "$json"; then
+  echo "perf_smoke: WARNING — $json was recorded with more engine" >&2
   echo "perf_smoke: threads than this host's hardware concurrency; its KIPS" >&2
   echo "perf_smoke: numbers are not comparable to the baseline." >&2
 fi

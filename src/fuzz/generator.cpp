@@ -1,5 +1,6 @@
 #include "fuzz/generator.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -246,6 +247,25 @@ void emit_publish(EmitCtx& ctx, u32 s_off, u32 g_off, bool fenced, RaceOracle& o
   if (!fenced)
     note_pair(oracle, OracleClass::kFence, rd::MemSpace::kGlobal, {pc_store, pc_load}, true,
               "missing_fence: unfenced cross-block publish/consume");
+}
+
+/// The fence gate (Sec. III-C) reports a cross-block read only while the
+/// writer warp's fence ID still equals the one stored with the write.
+/// Producer blocks skip the consume loop and run on, so a fence in any
+/// later fragment may advance that ID before the last block's loads:
+/// whether the unfenced publish is reported then depends on the schedule.
+void mark_schedule_dependent(const isa::Program& program, RaceOracle& oracle) {
+  for (OraclePair& pair : oracle.pairs) {
+    if (pair.cls != OracleClass::kFence) continue;
+    const u32 last_pc = *std::max_element(pair.pcs.begin(), pair.pcs.end());
+    for (u32 pc = last_pc + 1; pc < program.size(); ++pc) {
+      const isa::Opcode op = program.at(pc).op;
+      if (op == isa::Opcode::kMemBar || op == isa::Opcode::kMemBarBlock) {
+        pair.schedule_dependent = true;
+        break;
+      }
+    }
+  }
 }
 
 void emit_divergent_halves(EmitCtx& ctx, u32 s_off, u32 g_off, RaceOracle&) {
@@ -601,6 +621,7 @@ GeneratedKernel generate(const KernelSpec& spec) {
   }
 
   out.program = kb.build();
+  mark_schedule_dependent(out.program, out.oracle);
   out.shared_mem_bytes = std::max<u32>(s_off, 1) * 4;
   out.arena_words = std::max<u32>(g_off, 1);
   return out;

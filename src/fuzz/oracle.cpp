@@ -73,7 +73,7 @@ std::vector<u32> RaceOracle::racy_pcs() const {
 std::vector<std::string> RaceOracle::check_hw_complete(const rd::RaceLog& log) const {
   std::vector<std::string> violations;
   for (const OraclePair& pair : pairs) {
-    if (!pair.hw_visible) continue;
+    if (!pair.hw_visible || pair.schedule_dependent) continue;
     bool found = false;
     for (const rd::RaceRecord& race : log.races()) {
       if (race.space != pair.space) continue;

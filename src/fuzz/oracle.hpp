@@ -6,8 +6,9 @@
 // treated as synchronization by every detector in the repo — a
 // documented blind spot the oracle records rather than hides). The
 // campaign asserts both directions against a run's RaceLog:
-// completeness (every hw-visible pair produces a matching record) and
-// precision (no record lands outside the oracle's racy pc set).
+// completeness (every hw-visible pair that no schedule can hide produces
+// a matching record) and precision (no record lands outside the oracle's
+// racy pc set).
 #pragma once
 
 #include <string>
@@ -39,6 +40,10 @@ struct OraclePair {
   rd::MemSpace space = rd::MemSpace::kShared;
   std::vector<u32> pcs;     ///< every pc a matching record may carry
   bool hw_visible = true;   ///< false only for kAtomicBlind
+  /// The hardware reports the pair only in some schedules: completeness
+  /// does not require a record of it, precision still accepts one. Set
+  /// for an unfenced publish followed by a later fence (see generate()).
+  bool schedule_dependent = false;
   std::string note;         ///< fragment provenance for failure messages
 };
 
@@ -66,9 +71,9 @@ struct RaceOracle {
   /// the static verifier excludes by the same atomics-as-sync rule).
   std::vector<u32> racy_pcs() const;
 
-  /// Completeness: every hw-visible pair has >= 1 record in `log` with
-  /// matching space, a legal mechanism, and a pc from the pair. Returns
-  /// violation messages (empty == pass).
+  /// Completeness: every hw-visible, schedule-independent pair has >= 1
+  /// record in `log` with matching space, a legal mechanism, and a pc
+  /// from the pair. Returns violation messages (empty == pass).
   std::vector<std::string> check_hw_complete(const rd::RaceLog& log) const;
 
   /// Precision: every record in `log` is explained by some hw-visible

@@ -216,6 +216,36 @@ TEST(FuzzOracle, PrecisionFlagsAForeignRecord) {
   EXPECT_FALSE(safe.oracle.check_hw_precise(log).empty());
 }
 
+TEST(FuzzOracle, LaterFenceMakesAnUnfencedPublishScheduleDependent) {
+  // A fence after missing_fence (here locked_rmw's release fence) may
+  // advance the producer's fence ID before the last block reads, as in
+  // tests/corpus/fuzz-1542.spec: completeness must not demand a report,
+  // and precision must still accept one.
+  KernelSpec spec = single(FragmentKind::kMissingFence, 2, 64, 0, 0);
+  const GeneratedKernel alone = generate(spec);
+  ASSERT_EQ(alone.oracle.pairs.size(), 1u);
+  EXPECT_FALSE(alone.oracle.pairs[0].schedule_dependent);
+
+  FragmentSpec lock;
+  lock.kind = FragmentKind::kLockedRmw;
+  spec.fragments.push_back(lock);
+  const GeneratedKernel fenced_after = generate(spec);
+  ASSERT_EQ(fenced_after.oracle.pairs.size(), 1u);
+  const OraclePair& pair = fenced_after.oracle.pairs[0];
+  EXPECT_EQ(pair.cls, OracleClass::kFence);
+  EXPECT_TRUE(pair.schedule_dependent);
+  EXPECT_TRUE(pair.hw_visible);
+
+  rd::RaceLog log;
+  EXPECT_TRUE(fenced_after.oracle.check_hw_complete(log).empty());
+  rd::RaceRecord record;
+  record.space = rd::MemSpace::kGlobal;
+  record.mechanism = rd::RaceMechanism::kFence;
+  record.pc = pair.pcs.back();
+  log.record(record);
+  EXPECT_TRUE(fenced_after.oracle.check_hw_precise(log).empty());
+}
+
 // --- Shrinking ---------------------------------------------------------------
 
 TEST(FuzzShrink, ReducesToTheSmallestSpecSatisfyingThePredicate) {
