@@ -149,6 +149,18 @@ void print_violations(const std::string& name, const std::vector<std::string>& v
   for (const std::string& v : violations) std::printf("  %s\n", v.c_str());
 }
 
+/// One "# oracle" line per pair; a pair completeness skips is marked
+/// schedule-dependent.
+void print_oracle(const fuzz::RaceOracle& oracle) {
+  for (const fuzz::OraclePair& pair : oracle.pairs) {
+    std::printf("# oracle %s %s pcs", std::string(fuzz::oracle_class_name(pair.cls)).c_str(),
+                pair.space == rd::MemSpace::kShared ? "shared" : "global");
+    for (u32 pc : pair.pcs) std::printf(" %u", pc);
+    std::printf(" (%s)%s\n", pair.note.c_str(),
+                pair.schedule_dependent ? " schedule-dependent" : "");
+  }
+}
+
 void print_summary(const fuzz::CampaignSummary& summary) {
   std::printf("fuzz: %u kernels, %u failing\n", summary.cases, summary.failures);
   std::printf("oracle pairs by class:");
@@ -173,12 +185,7 @@ int cmd_generate(const Cli& cli) {
                   spec.fragments.size(), kernel.oracle.pairs.size(), path.c_str());
     } else {
       std::printf("%s", spec.serialize().c_str());
-      for (const fuzz::OraclePair& pair : kernel.oracle.pairs) {
-        std::printf("# oracle %s %s pcs", std::string(fuzz::oracle_class_name(pair.cls)).c_str(),
-                    pair.space == rd::MemSpace::kShared ? "shared" : "global");
-        for (u32 pc : pair.pcs) std::printf(" %u", pc);
-        std::printf(" (%s)\n", pair.note.c_str());
-      }
+      print_oracle(kernel.oracle);
     }
   }
   return 0;
@@ -275,12 +282,7 @@ int cmd_disasm(const Cli& cli) {
     kernel.program = swrace::instrument_grace(kernel.program, {}, nullptr);
   }
   std::printf("%s", kernel.program.disassemble().c_str());
-  for (const fuzz::OraclePair& pair : kernel.oracle.pairs) {
-    std::printf("# oracle %s %s pcs", std::string(fuzz::oracle_class_name(pair.cls)).c_str(),
-                pair.space == rd::MemSpace::kShared ? "shared" : "global");
-    for (u32 pc : pair.pcs) std::printf(" %u", pc);
-    std::printf(" (%s)\n", pair.note.c_str());
-  }
+  print_oracle(kernel.oracle);
   return 0;
 }
 
