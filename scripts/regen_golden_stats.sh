@@ -16,6 +16,6 @@ if [[ ! -x "$BUILD_DIR/tests/test_golden_stats" ]]; then
 fi
 
 HACCRG_REGEN_GOLDEN=1 "$BUILD_DIR/tests/test_golden_stats" \
-    --gtest_filter='GoldenStats.Reduce:GoldenStats.Psum'
+    --gtest_filter='GoldenStats.Reduce:GoldenStats.Psum:GoldenStats.HashRaceRegDrop:GoldenStats.PsumRaceRegDrop:GoldenStats.HistDetectorFaults'
 echo "regenerated:"
 git -c color.status=always status --short tests/golden/ || true

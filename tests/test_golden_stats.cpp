@@ -1,6 +1,6 @@
 // Golden-stats snapshots: REDUCE and PSUM runs under the combined
-// detection config are compared byte-for-byte against checked-in
-// expected files. Any change to timing, detection, or counter plumbing
+// detection config, plus three detector-fault campaigns, are compared
+// byte-for-byte against checked-in expected files. Any change to timing, detection, or counter plumbing
 // that moves a number shows up as a readable diff of named counters
 // instead of a silent drift. The parallel engine's determinism guarantee
 // is what makes a byte-exact snapshot viable at all — the files are
@@ -15,8 +15,10 @@
 #include <sstream>
 #include <string>
 
+#include "fault/fault.hpp"
 #include "kernels/common.hpp"
 #include "sim/gpu.hpp"
+#include "trace/replay.hpp"
 
 namespace haccrg {
 namespace {
@@ -47,8 +49,10 @@ std::string golden_path(const std::string& name) {
   return std::string(HACCRG_SOURCE_DIR) + "/tests/golden/" + name + ".txt";
 }
 
-std::string snapshot(const std::string& name) {
-  sim::Gpu gpu(golden_gpu(), golden_detection());
+std::string snapshot(const std::string& name, const fault::FaultPlan& faults = {}) {
+  sim::SimConfig sim;
+  sim.faults = faults;
+  sim::Gpu gpu(golden_gpu(), golden_detection(), sim);
   PreparedKernel prep = find_benchmark(name)->prepare(gpu, BenchOptions{});
   sim::SimResult r = gpu.launch(prep.launch());
   EXPECT_TRUE(r.completed) << r.error;
@@ -58,12 +62,16 @@ std::string snapshot(const std::string& name) {
   out += "races.total " + std::to_string(r.races.total()) + "\n";
   out += "races.unique " + std::to_string(r.races.unique()) + "\n";
   out += r.stats.serialize();
+  // A fault campaign also pins which races survived the corruption.
+  if (faults.any())
+    for (const std::string& line : trace::race_set_lines(r.races)) out += "race " + line + "\n";
   return out;
 }
 
-void check_against_golden(const std::string& name) {
-  const std::string actual = snapshot(name);
-  const std::string path = golden_path(name);
+void check_against_golden(const std::string& name, const std::string& file,
+                          const fault::FaultPlan& faults = {}) {
+  const std::string actual = snapshot(name, faults);
+  const std::string path = golden_path(file);
 
   if (std::getenv("HACCRG_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
@@ -82,8 +90,40 @@ void check_against_golden(const std::string& name) {
       << "regenerate with scripts/regen_golden_stats.sh and commit the diff.";
 }
 
-TEST(GoldenStats, Reduce) { check_against_golden("REDUCE"); }
-TEST(GoldenStats, Psum) { check_against_golden("PSUM"); }
+TEST(GoldenStats, Reduce) { check_against_golden("REDUCE", "REDUCE"); }
+TEST(GoldenStats, Psum) { check_against_golden("PSUM", "PSUM"); }
+
+// Detector-state fault campaigns. A dropped race register only matters
+// in the order it meets the ID updates around it: at 100% every issued
+// instruction drops one, so a fence commit and the same SM-cycle's drop
+// of that warp's fence ID meet in both of these runs.
+fault::FaultPlan racereg_drop_plan(u64 seed) {
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  plan.set_rate(fault::FaultSite::kRaceRegDrop, 1'000'000);
+  return plan;
+}
+
+TEST(GoldenStats, HashRaceRegDrop) {
+  check_against_golden("HASH", "HASH_racereg_drop_seed2", racereg_drop_plan(2));
+}
+
+TEST(GoldenStats, PsumRaceRegDrop) {
+  check_against_golden("PSUM", "PSUM_racereg_drop_seed7", racereg_drop_plan(7));
+}
+
+// Every detector-state site at once (the plan of
+// Degradation.DetectorFaultsAreCountedNeverSilent).
+TEST(GoldenStats, HistDetectorFaults) {
+  fault::FaultPlan plan;
+  plan.seed = 7;
+  plan.set_rate(fault::FaultSite::kSharedShadowFlip, 50'000);
+  plan.set_rate(fault::FaultSite::kGlobalShadowFlip, 50'000);
+  plan.set_rate(fault::FaultSite::kBloomFlip, 20'000);
+  plan.set_rate(fault::FaultSite::kRaceRegDrop, 20'000);
+  plan.set_rate(fault::FaultSite::kDramShadowFlip, 50'000);
+  check_against_golden("HIST", "HIST_detector_faults_seed7", plan);
+}
 
 // The snapshot must be identical when produced by the parallel engine.
 TEST(GoldenStats, SnapshotIsThreadCountInvariant) {
