@@ -140,8 +140,8 @@ void BM_SharedRduCheck(benchmark::State& state) {
   const bool contended = state.range(0) != 0;
   rd::HaccrgConfig config;
   rd::DetectPolicy policy;
-  rd::RaceStaging staging;
-  rd::SharedRdu rdu(0, 16 * 1024, config, policy, staging);
+  rd::RaceLog log;
+  rd::SharedRdu rdu(0, 16 * 1024, config, policy, log);
   rd::AccessInfo access;
   access.size = 4;
   u64 iter = 0;
@@ -157,7 +157,7 @@ void BM_SharedRduCheck(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(rdu.checks());
   }
-  benchmark::DoNotOptimize(staging);
+  benchmark::DoNotOptimize(log);
 }
 BENCHMARK(BM_SharedRduCheck)->Arg(0)->Arg(1);
 

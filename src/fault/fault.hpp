@@ -3,9 +3,9 @@
 // the simulation is byte-identical to a build without this subsystem).
 //
 // Determinism discipline (same as the epoch engine): every injection
-// site gets one RNG stream per hardware unit — per SM for sites rolled
-// inside the parallel SM phase, per memory partition for the DRAM site,
-// a single stream for sites rolled only in serial phases. A stream is
+// site gets one RNG stream per hardware unit — per SM for the SM and
+// shared-shadow sites, per memory partition for the DRAM site, a single
+// stream for the other sites rolled only in serial phases. A stream is
 // advanced only by its own unit's deterministic event sequence, so a
 // campaign's fault placement is bit-reproducible for any HACCRG_THREADS
 // value; the fault-campaign determinism test asserts exactly this.
@@ -137,10 +137,14 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  // --- Parallel SM-phase sites (call only from SM `sm`'s thread) ------------
+  // --- Per-SM sites (call only from SM `sm`'s thread) ------------------------
   /// True => flip `bit` (0..11, the architectural bits of a packed
-  /// shared shadow entry) in the entry about to be checked.
+  /// shared shadow entry) in the entry about to be checked. Rolled by the
+  /// detector's SharedRdu in the serial flush sweep, in SM `sm`'s check
+  /// order.
   bool shared_shadow_flip(u32 sm, u32& bit);
+  /// bloom_flip and racereg_drop roll in the parallel SM phase, once per
+  /// issued instruction; the SM stages their effects for the detector.
   /// True => corrupt a Bloom signature; `pick` seeds the thread/bit choice.
   bool bloom_flip(u32 sm, u64& pick);
   /// True => drop a race-register entry; `pick` seeds the warp/block choice.

@@ -37,11 +37,6 @@ std::string RaceRecord::describe() const {
   return buf;
 }
 
-void RaceStaging::drain_into(RaceLog& log) {
-  for (const RaceRecord& race : records_) log.record(race);
-  records_.clear();
-}
-
 bool RaceLog::record(const RaceRecord& race) {
   ++total_;
   const u64 key_lo = static_cast<u64>(race.granule_addr) | (static_cast<u64>(race.pc) << 32);

@@ -43,30 +43,6 @@ struct RaceRecord {
   std::string describe() const;
 };
 
-class RaceLog;
-
-/// Thread-confined staging buffer for race records. Detection code that
-/// runs inside a parallel epoch phase (per-SM shared RDUs, the intra-warp
-/// WAW filter) appends here instead of touching the run's RaceLog, and
-/// the engine replays the records into the log at the epoch barrier in
-/// deterministic SM-id order, so dedup counts and the recording cap
-/// behave exactly as in a sequential run.
-class RaceStaging {
- public:
-  void record(const RaceRecord& race) { records_.push_back(race); }
-  bool empty() const { return records_.empty(); }
-  const std::vector<RaceRecord>& records() const { return records_; }
-
-  /// Drop staged records, keeping capacity (arena reuse between kernels).
-  void clear() { records_.clear(); }
-
-  /// Replay every staged record into `log` (in staging order) and clear.
-  void drain_into(RaceLog& log);
-
- private:
-  std::vector<RaceRecord> records_;
-};
-
 /// Collects races, deduplicating by (space, granule, type, mechanism, pc).
 ///
 /// Dedup lookups sit on the detection hot path (every dynamic race of a

@@ -11,14 +11,14 @@ constexpr u32 kNoTag = ~0u;  // slot has never held a granule
 }
 
 SharedRdu::SharedRdu(u32 sm_id, u32 smem_bytes, const HaccrgConfig& config,
-                     const DetectPolicy& policy, RaceStaging& staging)
+                     const DetectPolicy& policy, RaceLog& log)
     : sm_id_(sm_id), granularity_(config.shared_granularity),
       num_granules_(static_cast<u32>(ceil_div(smem_bytes, config.shared_granularity))),
       capacity_(config.shared_shadow_capacity != 0 &&
                         config.shared_shadow_capacity < num_granules_
                     ? config.shared_shadow_capacity
                     : 0),
-      policy_(policy), staging_(&staging),
+      policy_(policy), log_(&log),
       shadow_(capacity_ != 0 ? capacity_ : num_granules_, 0) {
   if (capacity_ != 0) tags_.assign(capacity_, kNoTag);
 }
@@ -83,25 +83,25 @@ void SharedRdu::check(const AccessInfo& access) {
     if (out.race) {
       out.race->sm_id = sm_id_;
       ++races_;
-      staging_->record(*out.race);
+      log_->record(*out.race);
     }
   }
 }
 
-std::vector<u32> SharedRdu::shadow_lines(const std::vector<u32>& lane_addrs,
-                                         u32 line_bytes) const {
+std::vector<u32> SharedRdu::shadow_lines(const std::vector<u32>& lane_addrs, u32 granularity,
+                                         u32 line_bytes) {
   // Each granule's software shadow entry is 2 bytes; entries are packed
   // densely in the per-SM shadow array mirrored to global memory.
   std::vector<u32> lines;
   for (u32 addr : lane_addrs) {
-    const u32 entry_offset = (addr / granularity_) * 2;
+    const u32 entry_offset = (addr / granularity) * 2;
     const u32 line = entry_offset / line_bytes;
     if (std::find(lines.begin(), lines.end(), line) == lines.end()) lines.push_back(line);
   }
   return lines;
 }
 
-u32 SharedRdu::reset_region(u32 base, u32 bytes, u32 banks) {
+void SharedRdu::reset_region(u32 base, u32 bytes) {
   const u32 first = base / granularity_;
   const u32 last = std::min<u32>(num_granules_,
                                  static_cast<u32>(ceil_div(base + bytes, granularity_)));
@@ -116,10 +116,22 @@ u32 SharedRdu::reset_region(u32 base, u32 bytes, u32 banks) {
     }
   }
   ++resets_;
-  // The invalidation hardware sweeps the region's address range either
-  // way, so the cycle cost does not depend on the table's capacity.
+}
+
+u32 SharedRdu::reset_cycles(u32 base, u32 bytes, u32 granularity, u32 banks) {
+  const u32 first = base / granularity;
+  const u32 last = static_cast<u32>(ceil_div(base + bytes, granularity));
   const u32 entries = last > first ? last - first : 0;
   return static_cast<u32>(ceil_div(entries, std::max(banks, 1u)));
+}
+
+void SharedRdu::reset() {
+  std::fill(shadow_.begin(), shadow_.end(), u16{0});
+  std::fill(tags_.begin(), tags_.end(), kNoTag);
+  checks_ = 0;
+  races_ = 0;
+  resets_ = 0;
+  evictions_ = 0;
 }
 
 void SharedRdu::export_stats(StatSet& stats) const {

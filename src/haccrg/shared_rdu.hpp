@@ -27,15 +27,14 @@ namespace haccrg::rd {
 
 class SharedRdu {
  public:
-  /// Races are appended to `staging`, which the owning SM drains into the
-  /// run's RaceLog at the epoch barrier (keeps the RDU thread-confined
-  /// when SMs step in parallel).
+  /// Races are recorded straight into `log`: the RDU runs in the serial
+  /// event sweep of its trace::Detector.
   SharedRdu(u32 sm_id, u32 smem_bytes, const HaccrgConfig& config, const DetectPolicy& policy,
-            RaceStaging& staging);
+            RaceLog& log);
 
   /// Arm fault injection (null = off). The injector's shared-shadow
-  /// stream for this RDU's SM id is rolled once per granule check, so
-  /// placement is thread-confined and deterministic.
+  /// stream for this RDU's SM id is rolled once per granule check, in
+  /// that SM's check order, so placement is deterministic.
   void set_faults(fault::FaultInjector* faults) { faults_ = faults; }
 
   /// Address-sharded replay (trace/replay.hpp): execute only granule
@@ -50,15 +49,24 @@ class SharedRdu {
   /// Check one lane's shared-memory access and update the shadow state.
   void check(const AccessInfo& access);
 
-  /// Shadow lines (global shadow-region offsets) covering the granules of
-  /// the given lane addresses — only meaningful in the kGlobalMemory
-  /// placement, where each line must be fetched through the L1.
-  std::vector<u32> shadow_lines(const std::vector<u32>& lane_addrs, u32 line_bytes) const;
+  /// Shadow lines (offsets into an SM's software shadow, in lines of
+  /// `line_bytes`) covering the granules of the given lane addresses.
+  /// Only the kGlobalMemory placement fetches them, through the L1.
+  static std::vector<u32> shadow_lines(const std::vector<u32>& lane_addrs, u32 granularity,
+                                       u32 line_bytes);
 
-  /// Barrier reached: invalidate the shadow entries of the block's shared
-  /// region. Returns the invalidation cost in cycles (entries reset
-  /// `banks` at a time, matching the parallel comparators).
-  u32 reset_region(u32 base, u32 bytes, u32 banks);
+  /// Barrier reached or block slot turned over: invalidate the shadow
+  /// entries of the block's shared region.
+  void reset_region(u32 base, u32 bytes);
+
+  /// Cycles the invalidation of [base, base + bytes) costs: entries reset
+  /// `banks` at a time, matching the parallel comparators. The sweep
+  /// covers the address range whatever the table's capacity.
+  static u32 reset_cycles(u32 base, u32 bytes, u32 granularity, u32 banks);
+
+  /// Return every entry and counter to its construction state, keeping
+  /// the allocations (a reused detector's next kernel).
+  void reset();
 
   u64 checks() const { return checks_; }
   u64 races_found() const { return races_; }
@@ -83,7 +91,7 @@ class SharedRdu {
   u32 shard_count_ = 1;
   u32 shard_index_ = 0;
   DetectPolicy policy_;
-  RaceStaging* staging_;
+  RaceLog* log_;
   fault::FaultInjector* faults_ = nullptr;
   std::vector<u16> shadow_;  // one packed entry per granule (or per slot); 0 == initial
   std::vector<u32> tags_;    // granule owning each slot (finite mode only)

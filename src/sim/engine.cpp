@@ -11,7 +11,9 @@ Engine::Engine(std::vector<std::unique_ptr<Sm>>& sms,
       // More workers than work units would only add barrier traffic.
       pool_(std::min(sim.num_threads,
                      std::max(static_cast<u32>(sms.size()), static_cast<u32>(partitions.size())))),
-      profiler_(sim.profile), tracing_(!sms.empty() && sms.front()->tracing()) {}
+      profiler_(sim.profile) {
+  for (auto& sm : sms) sm->set_staged_flag(&staged_);
+}
 
 void Engine::sm_phase(void* ctx, u32 begin, u32 end) {
   Engine& self = *static_cast<Engine*>(ctx);
@@ -36,13 +38,15 @@ void Engine::step(Cycle now) {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kSmCycle);
     pool_.run(&Engine::sm_phase, this, static_cast<u32>(sms_->size()));
   }
-  // Trace recording: write every SM's staged issue-phase events in SM-id
-  // order before the commit loop appends the cycle's global-memory
-  // events, so the file order equals the serial phases' execution order.
-  // Skipped wholesale when no trace writer is attached.
-  if (tracing_) {
+  // Detection and trace recording: hand every SM's staged issue-phase
+  // events to the detector and writer in SM-id order before the commit
+  // loop appends the cycle's global-memory events, so both consume the
+  // serial phases' execution order (shared checks run here). Skipped in
+  // the many cycles where no SM staged anything.
+  if (staged_.load(std::memory_order_relaxed)) {
+    staged_.store(false, std::memory_order_relaxed);
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kTraceFlush);
-    for (auto& sm : *sms_) sm->flush_trace();
+    for (auto& sm : *sms_) sm->flush_events();
   }
   {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommit);

@@ -5,11 +5,15 @@
 //   Phase 1 (parallel over SMs):        deliver responses, SM core cycle.
 //                                       All cross-SM effects are staged
 //                                       thread-confined inside the SM.
+//   Flush (serial, SM-id order):        when detecting or tracing,
+//                                       Sm::flush_events hands each SM's
+//                                       staged issue-phase events to the
+//                                       detector (shared checks, ID
+//                                       registers) and the trace writer.
 //   Phase 2 (serial, SM-id order):      commit barrier — Sm::commit_epoch
-//                                       drains each SM's staged race
-//                                       records and replays its deferred
+//                                       replays each SM's deferred
 //                                       global-memory ops (functional
-//                                       effects, global-RDU checks, trace
+//                                       effects, global checks, trace
 //                                       events); then one interconnect
 //                                       injection sweep.
 //   Phase 3 (parallel over partitions): MemoryPartition::step — service
@@ -23,6 +27,7 @@
 // the determinism test suite holds the engine to that.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -55,7 +60,7 @@ class Engine {
   mem::Interconnect* icnt_;
   WorkerPool pool_;
   PhaseProfiler profiler_;
-  bool tracing_ = false;  ///< cached: skip the flush sweep when not recording
+  std::atomic<bool> staged_{false};  ///< some SM staged events this cycle (set by the SMs)
   Cycle now_ = 0;
 };
 

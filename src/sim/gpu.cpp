@@ -4,6 +4,36 @@
 
 namespace haccrg::sim {
 
+namespace {
+
+/// The machine and detector a run models, as a trace header records them
+/// (and the geometry a live detector is sized by).
+trace::TraceHeader header_for(const arch::GpuConfig& gpu, const rd::HaccrgConfig& haccrg) {
+  trace::TraceHeader header;
+  header.num_sms = gpu.num_sms;
+  header.warp_size = gpu.warp_size;
+  header.max_blocks_per_sm = gpu.max_blocks_per_sm;
+  header.max_threads_per_sm = gpu.max_threads_per_sm;
+  header.shared_mem_per_sm = gpu.shared_mem_per_sm;
+  header.shared_mem_banks = gpu.shared_mem_banks;
+  header.l1_line = gpu.l1_line;
+  header.device_mem_bytes = gpu.device_mem_bytes;
+  header.enable_shared = haccrg.enable_shared;
+  header.enable_global = haccrg.enable_global;
+  header.warp_regrouping = haccrg.warp_regrouping;
+  header.disable_fence_gate = haccrg.disable_fence_gate;
+  header.static_filter = haccrg.static_filter;
+  header.shared_shadow = static_cast<u8>(haccrg.shared_shadow);
+  header.shared_granularity = haccrg.shared_granularity;
+  header.global_granularity = haccrg.global_granularity;
+  header.bloom_bits = haccrg.bloom_bits;
+  header.bloom_bins = haccrg.bloom_bins;
+  header.max_recorded_races = haccrg.max_recorded_races;
+  return header;
+}
+
+}  // namespace
+
 Gpu::Gpu(const arch::GpuConfig& gpu_config, const rd::HaccrgConfig& haccrg_config,
          const SimConfig& sim_config)
     : gpu_config_(gpu_config), haccrg_config_(haccrg_config), sim_config_(sim_config),
@@ -11,27 +41,7 @@ Gpu::Gpu(const arch::GpuConfig& gpu_config, const rd::HaccrgConfig& haccrg_confi
   if (!sim_config_.trace_path.empty()) {
     trace_writer_ = std::make_unique<trace::TraceWriter>(sim_config_.trace_path);
     if (sim_config_.trace_index) trace_writer_->enable_index();
-    trace::TraceHeader header;
-    header.num_sms = gpu_config_.num_sms;
-    header.warp_size = gpu_config_.warp_size;
-    header.max_blocks_per_sm = gpu_config_.max_blocks_per_sm;
-    header.max_threads_per_sm = gpu_config_.max_threads_per_sm;
-    header.shared_mem_per_sm = gpu_config_.shared_mem_per_sm;
-    header.shared_mem_banks = gpu_config_.shared_mem_banks;
-    header.l1_line = gpu_config_.l1_line;
-    header.device_mem_bytes = gpu_config_.device_mem_bytes;
-    header.enable_shared = haccrg_config_.enable_shared;
-    header.enable_global = haccrg_config_.enable_global;
-    header.warp_regrouping = haccrg_config_.warp_regrouping;
-    header.disable_fence_gate = haccrg_config_.disable_fence_gate;
-    header.static_filter = haccrg_config_.static_filter;
-    header.shared_shadow = static_cast<u8>(haccrg_config_.shared_shadow);
-    header.shared_granularity = haccrg_config_.shared_granularity;
-    header.global_granularity = haccrg_config_.global_granularity;
-    header.bloom_bits = haccrg_config_.bloom_bits;
-    header.bloom_bins = haccrg_config_.bloom_bins;
-    header.max_recorded_races = haccrg_config_.max_recorded_races;
-    trace_writer_->write_header(header);
+    trace_writer_->write_header(header_for(gpu_config_, haccrg_config_));
   }
 }
 
@@ -76,9 +86,6 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
     }
   }
 
-  rd::RaceLog race_log(haccrg_config_.max_recorded_races);
-  race_log.set_max_unique(haccrg_config_.max_unique_races);
-
   // Fault-injection campaign (SimConfig::faults / HACCRG_FAULTS). The
   // injector lives for one launch; every hook below is a null pointer
   // when no site is armed, so the zero-fault path is unchanged.
@@ -88,38 +95,30 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
                                                     gpu_config_.num_mem_partitions);
   }
 
-  // Race register file: the global RDU reads the current fence ID of any
-  // warp on any SM. SMs are created below; the reader indirects through
-  // this vector so construction order is a non-issue.
-  std::vector<std::unique_ptr<Sm>> sms;
-  rd::FenceIdReader fence_reader = [&sms](u32 sm_id, u32 warp_slot) -> u8 {
-    return sms[sm_id]->ids().fence_id(warp_slot);
-  };
-
   // Global shadow region: allocated at launch over the application heap
-  // (the paper's cudaMalloc step), invalidated (zeroed) here.
-  std::unique_ptr<rd::GlobalRdu> global_rdu;
+  // (the paper's cudaMalloc step).
+  Addr shadow_base = 0;
   u32 shadow_bytes = 0;
   const u32 app_bytes = allocator_.heap_top();
   if (haccrg_config_.enable_global) {
-    rd::DetectPolicy policy;
-    policy.warp_size = gpu_config_.warp_size;
-    policy.warp_regrouping = haccrg_config_.warp_regrouping;
-    policy.fence_gating = !haccrg_config_.disable_fence_gate;
-    policy.bloom = {haccrg_config_.bloom_bits, haccrg_config_.bloom_bins};
-    global_rdu = std::make_unique<rd::GlobalRdu>(memory_, haccrg_config_, policy, race_log,
-                                                 fence_reader);
     shadow_bytes = rd::GlobalRdu::shadow_bytes_for(app_bytes, haccrg_config_.global_granularity);
-    const Addr shadow_base = static_cast<Addr>(align_up(app_bytes, 256));
+    shadow_base = static_cast<Addr>(align_up(app_bytes, 256));
     if (static_cast<u64>(shadow_base) + shadow_bytes > memory_.size()) {
       result.error = "device memory too small for the global shadow region";
       return result;
     }
-    global_rdu->init_shadow(shadow_base, app_bytes);
-    if (faults != nullptr) {
-      global_rdu->set_faults(faults.get());
-      faults->set_shadow_region(shadow_base, shadow_bytes);
-    }
+    if (faults != nullptr) faults->set_shadow_region(shadow_base, shadow_bytes);
+  }
+
+  // One detector per launch consumes the events the SMs build. Its global
+  // shadow lives in this Gpu's memory, which it invalidates (zeroes)
+  // here, so DRAM shadow flips land in the entries it reads.
+  std::unique_ptr<trace::Detector> detector;
+  if (haccrg_config_.any_enabled()) {
+    detector = std::make_unique<trace::Detector>(header_for(gpu_config_, haccrg_config_),
+                                                 haccrg_config_);
+    detector->set_faults(faults.get());
+    detector->begin_kernel(launch.block_dim, &memory_, shadow_base, app_bytes);
   }
 
   // Software-placed shared shadow (Figure 8): a per-SM region of device
@@ -133,7 +132,7 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
                  gpu_config_.l1_line));
     u64 need = static_cast<u64>(sw_shadow_per_sm) * gpu_config_.num_sms;
     Addr base = static_cast<Addr>(
-        align_up(app_bytes + (global_rdu ? static_cast<u64>(shadow_bytes) + 256 : 0), 256));
+        align_up(app_bytes + (haccrg_config_.enable_global ? u64{shadow_bytes} + 256 : 0), 256));
     if (base + need > memory_.size()) {
       result.error = "device memory too small for the software shared shadow";
       return result;
@@ -157,13 +156,13 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
   env.haccrg = &haccrg_config_;
   env.memory = &memory_;
   env.icnt = &icnt;
-  env.global_rdu = global_rdu.get();
-  env.race_log = &race_log;
+  env.detector = detector.get();
   env.program = launch.program;
   env.launch = &launch;
   env.global_trace = global_trace_;
   env.trace = trace_writer_.get();
   env.faults = faults.get();
+  std::vector<std::unique_ptr<Sm>> sms;
   sms.reserve(gpu_config_.num_sms);
   for (u32 s = 0; s < gpu_config_.num_sms; ++s) {
     SmEnv sm_env = env;
@@ -180,7 +179,7 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
     begin.block_dim = launch.block_dim;
     begin.shared_mem_bytes = launch.shared_mem_bytes;
     begin.app_heap_bytes = app_bytes;
-    begin.shadow_base = global_rdu != nullptr ? global_rdu->shadow_base() : 0;
+    begin.shadow_base = shadow_base;
     begin.label = trace_label_;
     trace_writer_->write_event(begin);
   }
@@ -270,6 +269,9 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
     trace_writer_->set_faults(nullptr);
   }
 
+  if (detector != nullptr && !detector->error().empty() && result.error.empty())
+    result.error = "detector: " + detector->error();
+
   // --- Collect results ---------------------------------------------------------
   result.completed = result.error.empty();
   result.cycles = now;
@@ -297,22 +299,29 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
   // Opt-in phase timing: never part of the default stat set, so golden
   // fingerprints are unaffected.
   if (sim_config_.profile) engine.profiler().export_stats(result.stats);
-  if (global_rdu) global_rdu->export_stats(result.stats);
+  if (detector != nullptr) {
+    detector->export_stats(result.stats);
+  } else {
+    // The ID-register counters stay in the set (as zero) without a
+    // detector, so its keys do not depend on detection.
+    result.stats.add("ids.barrier_events", 0);
+    result.stats.add("ids.sync_increments", 0);
+  }
 
   // Coverage accounting: every event that can silently cost a detection
   // — shadow-table evictions, race-log saturation, detector-state fault
   // injections — is summed into one stat so a campaign can always
   // explain its gap to the zero-fault baseline. Exported only when
   // non-zero to keep zero-fault golden stat sets byte-identical.
-  if (race_log.saturated() != 0)
-    result.stats.add("rd.race_log_saturated", race_log.saturated());
+  const u64 saturated = detector != nullptr ? detector->log().saturated() : 0;
+  if (saturated != 0) result.stats.add("rd.race_log_saturated", saturated);
   // Static-filter accounting: how many pcs the report proved safe. Only
   // when the filter is actually driving skips, so unfiltered golden stat
   // sets are unchanged.
   if (haccrg_config_.static_filter && launch.static_report != nullptr)
     result.stats.add("rd.static_safe_pcs",
                      launch.static_report->count(analysis::AccessClass::kProvablySafe));
-  u64 coverage_lost = race_log.saturated();
+  u64 coverage_lost = saturated;
   if (result.stats.has("rd.evictions")) coverage_lost += result.stats.get("rd.evictions");
   if (faults != nullptr) {
     coverage_lost += faults->detector_state_injections();
@@ -320,7 +329,7 @@ SimResult Gpu::launch(const LaunchConfig& launch) {
   }
   if (coverage_lost != 0) result.stats.set("rd.coverage_lost", coverage_lost);
 
-  result.races = race_log;
+  if (detector != nullptr) result.races = std::move(detector->log());
   return result;
 }
 

@@ -1,6 +1,7 @@
-// Top-level GPU: owns device memory, SMs, interconnect, memory
-// partitions, and the HAccRG global RDU; schedules thread-blocks onto SMs
-// and runs the cycle loop until the kernel drains.
+// Top-level GPU: owns device memory, SMs, interconnect and memory
+// partitions; per launch it builds the HAccRG trace::Detector (when
+// detection is on), schedules thread-blocks onto SMs and runs the cycle
+// loop until the kernel drains.
 #pragma once
 
 #include <deque>

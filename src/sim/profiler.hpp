@@ -18,7 +18,7 @@ namespace haccrg::sim {
 /// The epoch phases (see engine.hpp).
 enum class EnginePhase : u8 {
   kSmCycle = 0,  ///< parallel SM phase (deliver + core cycle)
-  kTraceFlush,   ///< serial issue-event flush (tracing runs only)
+  kTraceFlush,   ///< serial issue-event flush (detecting or tracing runs only)
   kCommit,       ///< serial commit_epoch sweep + interconnect injection
   kPartition,    ///< parallel partition phase
   kResponse,     ///< serial response commit

@@ -40,18 +40,7 @@ Sm::Sm(u32 sm_id, const SmEnv& env)
       smem_(env.gpu->shared_mem_per_sm, env.gpu->shared_mem_banks),
       l1_("l1", env.gpu->l1_size, env.gpu->l1_ways, env.gpu->l1_line,
           mem::WritePolicy::kWriteThroughNoAllocate),
-      ids_(env.gpu->max_blocks_per_sm, env.gpu->warps_per_sm(), env.gpu->max_threads_per_sm) {
-  if (env_.haccrg->enable_shared) {
-    rd::DetectPolicy policy;
-    policy.warp_size = env_.gpu->warp_size;
-    policy.warp_regrouping = env_.haccrg->warp_regrouping;
-    policy.fence_gating = !env_.haccrg->disable_fence_gate;
-    policy.bloom = {env_.haccrg->bloom_bits, env_.haccrg->bloom_bins};
-    shared_rdu_ = std::make_unique<rd::SharedRdu>(sm_id_, env_.gpu->shared_mem_per_sm,
-                                                  *env_.haccrg, policy, race_staging_);
-    if (env_.faults != nullptr) shared_rdu_->set_faults(env_.faults);
-  }
-}
+      recording_(env.detector != nullptr || env.trace != nullptr) {}
 
 bool Sm::try_launch_block(u32 block_id, Cycle now) {
   const LaunchConfig& launch = *env_.launch;
@@ -104,16 +93,10 @@ bool Sm::try_launch_block(u32 block_id, Cycle now) {
     ++num_ready_;  // init() puts the warp in kReady
   }
 
-  // HAccRG bookkeeping for the fresh tenant of this slot.
-  ids_.on_block_launch(slot);
-  for (u32 t = 0; t < launch.block_dim; ++t) ids_.reset_thread(block.thread_base + t);
-  if (shared_rdu_ && smem_per_slot > 0) {
-    shared_rdu_->reset_region(smem_base, smem_per_slot, env_.gpu->shared_mem_banks);
-  }
-
-  // Block launches happen in the scheduler's serial context, so the trace
-  // event goes straight to the writer (after all of this cycle's events).
-  if (env_.trace != nullptr) {
+  // Block launches happen in the scheduler's serial context, so the event
+  // is consumed straight away (after all of this cycle's events); the
+  // detector resets the slot's ID registers and shadow region on it.
+  if (recording_) {
     trace::Event e;
     e.kind = trace::EventKind::kBlockLaunch;
     e.cycle = now;
@@ -125,17 +108,42 @@ bool Sm::try_launch_block(u32 block_id, Cycle now) {
     e.thread_base = block.thread_base;
     e.smem_base = smem_base;
     e.smem_bytes = smem_per_slot;
-    env_.trace->write_event(e);
+    emit(e);
   }
 
   ++resident_blocks_;
   return true;
 }
 
-void Sm::flush_trace() {
-  if (env_.trace == nullptr || trace_staged_.empty()) return;
-  for (const trace::Event& e : trace_staged_) env_.trace->write_event(e);
-  trace_staged_.clear();
+void Sm::emit(const trace::Event& event) {
+  // A live event is well-formed by construction; should the detector
+  // ever reject one, Gpu::launch reports its error.
+  if (env_.detector != nullptr) env_.detector->consume(event);
+  if (env_.trace != nullptr) env_.trace->write_event(event);
+}
+
+trace::Event& Sm::stage_event(trace::EventKind kind, Cycle now) {
+  if (staged_count_ == staged_.size()) staged_.emplace_back();
+  trace::Event& e = staged_[staged_count_++];
+  staged_flag_->store(true, std::memory_order_relaxed);
+  trace::reset_event(e);
+  e.kind = kind;
+  e.cycle = now;
+  e.sm = sm_id_;
+  return e;
+}
+
+void Sm::flush_staged() {
+  u32 f = 0;
+  for (u32 i = 0; i < staged_count_; ++i) {
+    for (; f < staged_faults_.size() && staged_faults_[f].at == i; ++f)
+      env_.detector->apply_id_fault(sm_id_, staged_faults_[f].site, staged_faults_[f].pick);
+    emit(staged_[i]);
+  }
+  for (; f < staged_faults_.size(); ++f)
+    env_.detector->apply_id_fault(sm_id_, staged_faults_[f].site, staged_faults_[f].pick);
+  staged_count_ = 0;
+  staged_faults_.clear();
 }
 
 void Sm::deliver(const mem::Response& rsp, Cycle now) {
@@ -145,15 +153,8 @@ void Sm::deliver(const mem::Response& rsp, Cycle now) {
     if (warp.state == WarpState::kWaitFence && warp.outstanding_stores == 0) {
       set_state(warp, WarpState::kReady);
       warp.ready_at = now + env_.gpu->fence_latency;
-      ids_.on_fence(warp.warp_slot());
-      if (env_.trace != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kFenceCommit;
-        e.cycle = now;
-        e.sm = sm_id_;
-        e.warp_slot = warp.warp_slot();
-        stage_trace(std::move(e));
-      }
+      // The warp's fence ID bumps when the detector consumes this event.
+      if (recording_) stage_event(trace::EventKind::kFenceCommit, now).warp_slot = warp.warp_slot();
     }
     return;
   }
@@ -194,22 +195,16 @@ void Sm::cycle(Cycle now) {
 
 void Sm::inject_id_faults() {
   // One roll per site per issued instruction: the number of instructions
-  // an SM issues is deterministic, so fault placement is too. All state
-  // touched (ids_) is SM-local — safe in the parallel phase.
+  // an SM issues is deterministic, so fault placement is too. The rolls
+  // touch only this SM's streams — safe in the parallel phase — and
+  // happen with detection off too, so a campaign's counts do not depend
+  // on it.
   u64 pick = 0;
-  if (env_.faults->bloom_flip(sm_id_, pick)) {
-    const u32 thread_slot = static_cast<u32>(pick % env_.gpu->max_threads_per_sm);
-    ids_.corrupt_sig(thread_slot, static_cast<u32>((pick >> 32) % 32));
-  }
-  if (env_.faults->racereg_drop(sm_id_, pick)) {
-    // Even picks lose a fence ID, odd picks a sync ID — both halves of
-    // the race register file are exercised by one site.
-    if ((pick & 1) == 0) {
-      ids_.drop_fence_id(static_cast<u32>((pick >> 1) % warps_.size()));
-    } else {
-      ids_.drop_sync_id(static_cast<u32>((pick >> 1) % blocks_.size()));
-    }
-  }
+  if (env_.faults->bloom_flip(sm_id_, pick) && env_.detector != nullptr)
+    staged_faults_.push_back({staged_count_, fault::FaultSite::kBloomFlip, pick});
+  if (env_.faults->racereg_drop(sm_id_, pick) && env_.detector != nullptr)
+    staged_faults_.push_back({staged_count_, fault::FaultSite::kRaceRegDrop, pick});
+  if (!staged_faults_.empty()) staged_flag_->store(true, std::memory_order_relaxed);
 }
 
 void Sm::send_packet(mem::Packet pkt) {
@@ -219,14 +214,8 @@ void Sm::send_packet(mem::Packet pkt) {
   env_.icnt->stage_request(sm_id_, std::move(pkt));
 }
 
-void Sm::commit_epoch() {
-  // Race records first: within one SM-cycle the sequential engine logs
-  // the issue-time records (intra-warp WAW, shared RDU) before any
-  // global RDU check fires, and only one instruction issues per cycle,
-  // so draining the staging buffer before the replay preserves its
-  // exact record order.
-  if (!race_staging_.empty()) race_staging_.drain_into(*env_.race_log);
-  for (u32 i = 0; i < deferred_count_; ++i) replay(deferred_[i]);
+void Sm::commit_deferred() {
+  for (u32 i = 0; i < deferred_count_; ++i) commit(deferred_[i]);
   deferred_count_ = 0;
   // Staged packets are injected by the engine's single fair
   // icnt.commit_requests(now) sweep after every SM has committed —
@@ -239,18 +228,17 @@ Sm::DeferredGlobalOp& Sm::acquire_deferred() {
   DeferredGlobalOp& op = deferred_[deferred_count_++];
   op.lanes.clear();
   op.trace_addrs.clear();
-  op.checks.clear();
-  op.has_trace_event = false;
+  op.has_event = false;
   return op;
 }
 
-void Sm::replay(DeferredGlobalOp& op) {
+void Sm::commit(DeferredGlobalOp& op) {
   WarpContext& warp = warps_[op.warp_slot];
 
-  // Global-memory trace events are written here, in the serial commit
-  // phase, so the file interleaves them in SM-id order after every SM's
-  // issue-phase events for the cycle (the replay ordering contract).
-  if (op.has_trace_event && env_.trace != nullptr) env_.trace->write_event(op.trace_event);
+  // Global-memory events are consumed here, in the serial commit phase,
+  // so they follow every SM's issue-phase events for the cycle in SM-id
+  // order (the trace ordering contract).
+  if (op.has_event && env_.trace != nullptr) env_.trace->write_event(op.event);
 
   // Functional effects, in the lane order the sequential engine used.
   for (const DeferredGlobalOp::Lane& lane : op.lanes) {
@@ -272,9 +260,9 @@ void Sm::replay(DeferredGlobalOp& op) {
   if (env_.global_trace != nullptr)
     for (Addr addr : op.trace_addrs) env_.global_trace->push_back(addr);
 
-  if (op.checks.empty() || env_.global_rdu == nullptr) return;
+  if (!op.has_event || env_.detector == nullptr) return;
   scratch_shadow_.clear();
-  for (const rd::AccessInfo& info : op.checks) env_.global_rdu->check(info, scratch_shadow_);
+  env_.detector->consume(op.event, &scratch_shadow_);
 
   // Shadow traffic: one kShadow packet per distinct shadow line touched.
   if (!scratch_shadow_.empty()) {
@@ -382,33 +370,12 @@ bool Sm::static_filtered(u32 pc) const {
          env_.launch->static_report != nullptr && env_.launch->static_report->is_safe(pc);
 }
 
-rd::AccessInfo Sm::make_access(const WarpContext& warp, u32 lane, Addr addr, u8 size,
-                               bool is_write, u32 pc, Cycle now, bool l1_hit) const {
-  rd::AccessInfo a;
-  a.addr = addr;
-  a.size = size;
-  a.is_write = is_write;
-  const BlockContext& block = blocks_[warp.block_slot()];
-  const u32 tid_in_block = warp.warp_in_block() * env_.gpu->warp_size + lane;
-  a.thread_slot = static_cast<u16>(block.thread_base + tid_in_block);
-  a.warp_in_sm = warp.warp_slot();
-  a.block_slot = warp.block_slot();
-  a.sm_id = sm_id_;
-  a.sync_id = ids_.sync_id(warp.block_slot());
-  a.fence_id = ids_.fence_id(warp.warp_slot());
-  a.sig = ids_.sig(a.thread_slot);
-  a.in_cs = ids_.in_cs(a.thread_slot);
-  a.l1_hit = l1_hit;
-  a.pc = pc;
-  a.cycle = now;
-  return a;
-}
-
 u32 Sm::sw_shadow_traffic(WarpContext& warp, const std::vector<u32>& lane_addrs) {
   // Shadow lines are fetched through the L1 like local data (write-back:
   // updates stay cached; only misses and dirty evictions reach memory).
   u32 extra_cycles = 0;
-  const std::vector<u32> lines = shared_rdu_->shadow_lines(lane_addrs, env_.gpu->l1_line);
+  const std::vector<u32> lines = rd::SharedRdu::shadow_lines(
+      lane_addrs, env_.haccrg->shared_granularity, env_.gpu->l1_line);
   for (u32 line : lines) {
     const Addr shadow_addr = env_.sw_shared_shadow_base + line * env_.gpu->l1_line;
     // Reuse the L1 in write-back mode for shadow lines by doing a read
@@ -436,7 +403,24 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
   const bool is_atomic = ins.op == Opcode::kAtomShared;
   const u32 width = is_atomic ? 4 : ins.width();
 
-  scratch_accesses_.clear();
+  // HAccRG shared-memory detection: the detector checks this event in the
+  // flush sweep. Atomic operations are synchronization accesses and are
+  // not themselves checked (they cannot race). The static filter (opt-in)
+  // additionally skips accesses the compile-time analysis proved
+  // race-free at the detector's granularity.
+  const bool static_skip = env_.haccrg->enable_shared && !is_atomic && static_filtered(warp.pc);
+  const bool checked = env_.haccrg->enable_shared && !is_atomic && !static_skip;
+  trace::Event* event = nullptr;  // its lanes are filled in the loop below
+  if (recording_) {
+    event = &stage_event(trace_kind_for(ins.op), now);
+    event->block_slot = warp.block_slot();
+    event->warp_slot = warp.warp_slot();
+    event->warp_in_block = warp.warp_in_block();
+    event->pc = warp.pc;
+    event->width = static_cast<u8>(width);
+    event->checked = checked;
+  }
+
   scratch_smem_addrs_.clear();
   for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
     if (!warp.lane_active(lane)) continue;
@@ -445,7 +429,7 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     const u32 local = block.smem_base + block_addr;
     if (block_addr + width > block.smem_bytes) continue;  // out of the block's region
     scratch_smem_addrs_.push_back(local);
-    scratch_accesses_.push_back({lane, local, static_cast<u8>(width)});
+    if (event != nullptr) event->lanes.push_back({static_cast<u8>(lane), local, false, 0});
 
     // Functional effect.
     if (is_atomic) {
@@ -482,63 +466,14 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
                                ? cycles - env_.gpu->shared_mem_latency
                                : 0;
 
-  // HAccRG shared-memory detection. Atomic operations are synchronization
-  // accesses and are not themselves checked (they cannot race). The
-  // static filter (opt-in) additionally skips accesses the compile-time
-  // analysis proved race-free at the detector's granularity.
-  const bool shared_static_skip = shared_rdu_ && !is_atomic && static_filtered(warp.pc);
-  if (shared_static_skip) {
-    static_filtered_ += scratch_accesses_.size();
-    static_filtered_shared_ += scratch_accesses_.size();
+  // An access with no lane inside the block's region has no event.
+  if (event != nullptr && event->lanes.empty()) --staged_count_;
+  if (static_skip) {
+    static_filtered_ += scratch_smem_addrs_.size();
+    static_filtered_shared_ += scratch_smem_addrs_.size();
   }
-  if (env_.trace != nullptr && !scratch_accesses_.empty()) {
-    trace::Event e;
-    e.kind = trace_kind_for(ins.op);
-    e.cycle = now;
-    e.sm = sm_id_;
-    e.block_slot = warp.block_slot();
-    e.warp_slot = warp.warp_slot();
-    e.warp_in_block = warp.warp_in_block();
-    e.pc = warp.pc;
-    e.width = static_cast<u8>(width);
-    e.checked = shared_rdu_ != nullptr && !is_atomic && !shared_static_skip;
-    for (const auto& acc : scratch_accesses_)
-      e.lanes.push_back({static_cast<u8>(acc.lane), acc.addr, false, 0});
-    stage_trace(std::move(e));
-  }
-  if (shared_rdu_ && !is_atomic && !shared_static_skip) {
-    if (is_store) {
-      // The pre-issue intra-warp WAW check compares exact addresses at
-      // the access width (not the tracking granularity): warp lanes
-      // writing *different* locations of one shadow granule are SIMD-
-      // synchronized and must not be reported (Section III-A/Table III).
-      waw_buf_.build(scratch_accesses_, width);
-      for (const auto& c : waw_buf_.conflicts()) {
-        rd::RaceRecord race;
-        race.type = rd::RaceType::kWaw;
-        race.mechanism = rd::RaceMechanism::kIntraWarpWaw;
-        race.space = rd::MemSpace::kShared;
-        race.granule_addr = c.granule_addr;
-        race.sm_id = sm_id_;
-        race.first_thread = static_cast<u16>(block.thread_base +
-                                             warp.warp_in_block() * env_.gpu->warp_size +
-                                             c.lane_a);
-        race.second_thread = static_cast<u16>(block.thread_base +
-                                              warp.warp_in_block() * env_.gpu->warp_size +
-                                              c.lane_b);
-        race.pc = warp.pc;
-        race.cycle = now;
-        race_staging_.record(race);
-      }
-    }
-    for (const auto& acc : scratch_accesses_) {
-      shared_rdu_->check(
-          make_access(warp, acc.lane, acc.addr, acc.size, is_store, warp.pc, now, false));
-    }
-    if (env_.haccrg->shared_shadow == rd::SharedShadowPlacement::kGlobalMemory) {
-      cycles += sw_shadow_traffic(warp, scratch_smem_addrs_);
-    }
-  }
+  if (checked && env_.haccrg->shared_shadow == rd::SharedShadowPlacement::kGlobalMemory)
+    cycles += sw_shadow_traffic(warp, scratch_smem_addrs_);
 
   issue_free_at_ = now + std::max(env_.gpu->warp_issue_cycles(), cycles);
   if (warp.pending_responses > 0) {
@@ -553,14 +488,13 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
   const bool is_store = ins.op == Opcode::kStGlobal;
   const bool is_atomic = ins.op == Opcode::kAtomGlobal;
   const u32 width = is_atomic ? 4 : ins.width();
-  const bool detect_cfg = env_.haccrg->enable_global && env_.global_rdu != nullptr;
-  const bool global_static_skip = detect_cfg && static_filtered(warp.pc);
-  const bool detect = detect_cfg && !global_static_skip;
+  const bool global_static_skip = env_.haccrg->enable_global && static_filtered(warp.pc);
+  const bool detect = env_.haccrg->enable_global && !global_static_skip;
 
-  // Device memory and the global RDU are shared across SMs, so their
+  // Device memory and the detector are shared across SMs, so their
   // effects are captured here and replayed at the epoch barrier. Source
   // operands are read now (issue-time register values); destination
-  // registers are written at replay, which nothing can observe earlier
+  // registers are written at commit, which nothing can observe earlier
   // because this warp issues again next cycle at the soonest.
   DeferredGlobalOp& op = acquire_deferred();
   op.warp_slot = warp.warp_slot();
@@ -592,24 +526,15 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
   else
     ++global_reads_;
 
-  // The ID registers must see every global access even when the shadow
-  // check is statically filtered: they drive sync-ID ordering for the
-  // *other* accesses' checks.
-  if (detect_cfg && !scratch_accesses_.empty()) ids_.note_global_access(warp.block_slot());
   if (global_static_skip) {
     static_filtered_ += scratch_accesses_.size();
     static_filtered_global_ += scratch_accesses_.size();
   }
 
-  if (env_.trace != nullptr && !scratch_accesses_.empty()) {
-    op.has_trace_event = true;
-    trace::Event& e = op.trace_event;
-    // The slot may be reused: reset the event to defaults while keeping
-    // the lane vector's capacity.
-    auto lanes = std::move(e.lanes);
-    lanes.clear();
-    e = trace::Event{};
-    e.lanes = std::move(lanes);
+  if (recording_ && !scratch_accesses_.empty()) {
+    op.has_event = true;
+    trace::Event& e = op.event;
+    trace::reset_event(e);
     e.kind = trace_kind_for(ins.op);
     e.cycle = now;
     e.sm = sm_id_;
@@ -638,35 +563,11 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
       ++warp.pending_responses;
     }
   } else {
-    // Intra-warp WAW detection before the request is issued (Sec. III-A).
-    if (detect && is_store) {
-      const BlockContext& block = blocks_[warp.block_slot()];
-      // Exact-address comparison at access width; see the shared path.
-      waw_buf_.build(scratch_accesses_, width);
-      for (const auto& c : waw_buf_.conflicts()) {
-        rd::RaceRecord race;
-        race.type = rd::RaceType::kWaw;
-        race.mechanism = rd::RaceMechanism::kIntraWarpWaw;
-        race.space = rd::MemSpace::kGlobal;
-        race.granule_addr = c.granule_addr;
-        race.sm_id = sm_id_;
-        race.first_thread = static_cast<u16>(block.thread_base +
-                                             warp.warp_in_block() * env_.gpu->warp_size +
-                                             c.lane_a);
-        race.second_thread = static_cast<u16>(block.thread_base +
-                                              warp.warp_in_block() * env_.gpu->warp_size +
-                                              c.lane_b);
-        race.pc = warp.pc;
-        race.cycle = now;
-        race_staging_.record(race);
-      }
-    }
-
     // Coalesce into line transactions and run them through the L1. The
     // L1 is SM-local, so lookups happen at issue and the hit/fill facts
-    // ride along with the deferred RDU checks. The buffer's segments
-    // index straight into scratch_accesses_, so no per-lane search is
-    // needed to recover the full access.
+    // ride along in the event for the stale-L1 rule. The buffer's
+    // segments index straight into scratch_accesses_, whose order the
+    // event's lanes share, so a hit is stamped without a lane search.
     coalesce_buf_.build(scratch_accesses_, env_.gpu->l1_line);
     transactions = coalesce_buf_.size();
     for (u32 s = 0; s < coalesce_buf_.size(); ++s) {
@@ -674,14 +575,12 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
       op.trace_addrs.push_back(seg.addr);
       const Cycle line_fill = l1_.fill_time(seg.addr);
       const bool l1_hit = l1_.access(seg.addr, is_store, now).hit;
-      if (op.has_trace_event && !is_store && l1_hit) {
+      if (op.has_event && !is_store && l1_hit) {
         // Stamp the stale-L1 rule's inputs onto this segment's lanes.
-        for (u32 idx : seg.access_indices)
-          for (trace::TraceLane& tl : op.trace_event.lanes)
-            if (tl.lane == scratch_accesses_[idx].lane) {
-              tl.l1_hit = true;
-              tl.l1_fill = line_fill;
-            }
+        for (u32 idx : seg.access_indices) {
+          op.event.lanes[idx].l1_hit = true;
+          op.event.lanes[idx].l1_fill = line_fill;
+        }
       }
       if (is_store) {
         mem::Packet pkt;  // write-through
@@ -699,17 +598,6 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
         pkt.warp_slot = warp.warp_slot();
         send_packet(std::move(pkt));
         ++warp.pending_responses;
-      }
-      // Race checks for the lanes of this segment, carrying the L1-hit
-      // flag loads need for the stale-data rule.
-      if (detect) {
-        for (u32 idx : seg.access_indices) {
-          const mem::LaneAccess& acc = scratch_accesses_[idx];
-          rd::AccessInfo info = make_access(warp, acc.lane, acc.addr, acc.size, is_store,
-                                            warp.pc, now, !is_store && l1_hit);
-          info.l1_fill_cycle = line_fill;
-          op.checks.push_back(info);
-        }
       }
     }
   }
@@ -732,14 +620,10 @@ void Sm::exec_barrier(WarpContext& warp, Cycle now) {
   ++warp.pc;
   ++block.warps_at_barrier;
 
-  if (env_.trace != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kBarrierArrive;
-    e.cycle = now;
-    e.sm = sm_id_;
+  if (recording_) {
+    trace::Event& e = stage_event(trace::EventKind::kBarrierArrive, now);
     e.block_slot = warp.block_slot();
     e.warp_slot = warp.warp_slot();
-    stage_trace(std::move(e));
   }
 
   const u32 expected = block.num_warps - block.warps_done;
@@ -754,49 +638,31 @@ void Sm::exec_barrier(WarpContext& warp, Cycle now) {
     }
   }
 
-  // HAccRG barrier work: invalidate shared shadow entries (costing issue
-  // cycles) and advance the block's sync ID if global memory was touched.
-  if (shared_rdu_ && block.smem_bytes > 0) {
+  // HAccRG barrier work: the shared shadow entries' invalidation costs
+  // issue cycles. The detector resets the entries and advances the
+  // block's sync ID when it consumes the release event.
+  if (env_.haccrg->enable_shared && block.smem_bytes > 0) {
     const u32 cost =
-        shared_rdu_->reset_region(block.smem_base, block.smem_bytes, env_.gpu->shared_mem_banks);
+        rd::SharedRdu::reset_cycles(block.smem_base, block.smem_bytes,
+                                    env_.haccrg->shared_granularity, env_.gpu->shared_mem_banks);
     barrier_reset_cycles_ += cost;
     issue_free_at_ = std::max(issue_free_at_, now + cost);
   }
-  if (env_.haccrg->enable_global) ids_.on_barrier(warp.block_slot());
-  if (env_.trace != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kBarrierRelease;
-    e.cycle = now;
-    e.sm = sm_id_;
+  if (recording_) {
+    trace::Event& e = stage_event(trace::EventKind::kBarrierRelease, now);
     e.block_slot = warp.block_slot();
     e.smem_base = block.smem_base;
     e.smem_bytes = block.smem_bytes;
-    stage_trace(std::move(e));
   }
 }
 
 void Sm::exec_fence(WarpContext& warp, Cycle now) {
   ++fences_;
   ++warp.pc;
-  if (env_.trace != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kFence;
-    e.cycle = now;
-    e.sm = sm_id_;
-    e.warp_slot = warp.warp_slot();
-    stage_trace(std::move(e));
-  }
+  if (recording_) stage_event(trace::EventKind::kFence, now).warp_slot = warp.warp_slot();
   if (warp.outstanding_stores == 0) {
     warp.ready_at = now + env_.gpu->fence_latency;
-    ids_.on_fence(warp.warp_slot());
-    if (env_.trace != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kFenceCommit;
-      e.cycle = now;
-      e.sm = sm_id_;
-      e.warp_slot = warp.warp_slot();
-      stage_trace(std::move(e));
-    }
+    if (recording_) stage_event(trace::EventKind::kFenceCommit, now).warp_slot = warp.warp_slot();
   } else {
     set_state(warp, WarpState::kWaitFence);  // fence ID bumps when stores drain
   }
@@ -833,21 +699,14 @@ void Sm::exec_exit(WarpContext& warp, Cycle now) {
 
 void Sm::block_finished(u32 block_slot, Cycle now) {
   BlockContext& block = blocks_[block_slot];
-  if (env_.trace != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kBlockFinish;
-    e.cycle = now;
-    e.sm = sm_id_;
+  if (recording_) {
+    trace::Event& e = stage_event(trace::EventKind::kBlockFinish, now);
     e.block_slot = block_slot;
     e.smem_base = block.smem_base;
     e.smem_bytes = block.smem_bytes;
-    stage_trace(std::move(e));
   }
   for (auto& w : warps_) {
     if (w.state == WarpState::kDone && w.block_slot() == block_slot) w.release();
-  }
-  if (shared_rdu_ && block.smem_bytes > 0) {
-    shared_rdu_->reset_region(block.smem_base, block.smem_bytes, env_.gpu->shared_mem_banks);
   }
   block.active = false;
   --resident_blocks_;
@@ -965,32 +824,21 @@ void Sm::execute(WarpContext& warp, Cycle now) {
     }
     case Opcode::kLockAcqMark:
     case Opcode::kLockRelMark: {
-      const bool acquire = ins.op == Opcode::kLockAcqMark;
-      const BlockContext& block = blocks_[warp.block_slot()];
-      const rd::BloomGeometry geom{env_.haccrg->bloom_bits, env_.haccrg->bloom_bins};
-      trace::Event e;
-      if (env_.trace != nullptr) {
-        e.kind = trace_kind_for(ins.op);
-        e.cycle = now;
-        e.sm = sm_id_;
+      // Critical-section markers only move the detector's lockset
+      // registers (per-lane lock addresses on acquire).
+      if (recording_) {
+        const bool acquire = ins.op == Opcode::kLockAcqMark;
+        trace::Event& e = stage_event(trace_kind_for(ins.op), now);
         e.block_slot = warp.block_slot();
         e.warp_slot = warp.warp_slot();
         e.warp_in_block = warp.warp_in_block();
         e.pc = warp.pc;
-      }
-      for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
-        if (!warp.lane_active(lane)) continue;
-        const u32 slot =
-            block.thread_base + warp.warp_in_block() * env_.gpu->warp_size + lane;
-        if (acquire)
-          ids_.on_lock_acquired(slot, warp.reg(ins.src0, lane), geom);
-        else
-          ids_.on_lock_releasing(slot);
-        if (env_.trace != nullptr)
+        for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
+          if (!warp.lane_active(lane)) continue;
           e.lanes.push_back(
               {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0});
+        }
       }
-      if (env_.trace != nullptr) stage_trace(std::move(e));
       ++warp.pc;
       return;
     }
@@ -1022,7 +870,6 @@ void Sm::append_hang_summary(std::string& out) const {
 
 void Sm::export_stats(StatSet& stats) const {
   l1_.export_stats(stats);
-  if (shared_rdu_) shared_rdu_->export_stats(stats);
   stats.add("sm.bank_conflict_cycles", bank_conflict_cycles_);
   stats.add("rd.static_filtered", static_filtered_);
   // Per-space shares, only when the filter fired (keeps unfiltered
@@ -1030,8 +877,6 @@ void Sm::export_stats(StatSet& stats) const {
   if (static_filtered_shared_ != 0) stats.add("rd.static_filtered_shared", static_filtered_shared_);
   if (static_filtered_global_ != 0) stats.add("rd.static_filtered_global", static_filtered_global_);
   stats.add("sm.barrier_reset_cycles", barrier_reset_cycles_);
-  stats.add("ids.barrier_events", ids_.barrier_events());
-  stats.add("ids.sync_increments", ids_.sync_increments());
 }
 
 }  // namespace haccrg::sim

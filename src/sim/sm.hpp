@@ -1,17 +1,24 @@
 // Streaming multiprocessor: warp contexts, a round-robin scheduler, the
 // functional executor for the mini-PTX ISA, banked shared memory, a
-// non-coherent L1, and the HAccRG hooks (shared RDU, ID registers, and
-// race-check dispatch to the global RDU).
+// non-coherent L1, and the HAccRG timing hooks (software shared-shadow
+// traffic, barrier-time shadow invalidation, global shadow packets).
 //
 // Functional/timing split: an instruction's architectural effects are
 // applied when it issues; the memory system then moves data-less packets
 // whose completions wake the warp.
 //
+// Detection: the SM checks nothing itself. When detection or tracing is
+// on it builds a trace::Event per memory, sync and block event, and the
+// run's trace::Detector and TraceWriter consume them serially, in file
+// order: staged issue-phase events in flush_events(), global events in
+// commit_epoch(), block launches in try_launch_block(). Detection
+// outcomes never feed back into timing, so the SM only needs addresses.
+//
 // Parallel epochs: cycle() may run concurrently with other SMs' cycles,
 // so it only touches SM-local state plus thread-confined staging (the
-// per-SM interconnect queue, race_staging_, deferred_). Every effect
-// that crosses the SM boundary — device-memory functional ops, global
-// RDU checks, race-log records, packet injection — is replayed by
+// per-SM interconnect queue, staged events, deferred_). Every effect
+// that crosses the SM boundary — detector input, device-memory
+// functional ops, packet injection — is replayed by flush_events() and
 // commit_epoch(), which the engine calls serially in SM-id order at the
 // end of the cycle. That order matches the sequential engine's SM loop,
 // so results are bit-identical for any thread count. Deferring the
@@ -20,16 +27,14 @@
 // can read a deferred register or memory value before it lands.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "arch/config.hpp"
 #include "fault/fault.hpp"
-#include "haccrg/global_rdu.hpp"
-#include "haccrg/id_regs.hpp"
 #include "haccrg/options.hpp"
-#include "haccrg/shared_rdu.hpp"
 #include "isa/program.hpp"
 #include "mem/cache.hpp"
 #include "mem/coalescer.hpp"
@@ -39,6 +44,7 @@
 #include "mem/shared_memory.hpp"
 #include "sim/launch.hpp"
 #include "sim/warp.hpp"
+#include "trace/detector.hpp"
 #include "trace/writer.hpp"
 
 namespace haccrg::sim {
@@ -49,17 +55,17 @@ struct SmEnv {
   const rd::HaccrgConfig* haccrg = nullptr;
   mem::DeviceMemory* memory = nullptr;
   mem::Interconnect* icnt = nullptr;
-  rd::GlobalRdu* global_rdu = nullptr;  ///< null unless global detection on
-  rd::RaceLog* race_log = nullptr;
+  /// The launch's race detector; null unless detection is on. It
+  /// consumes the events this SM builds, in the serial phases only.
+  trace::Detector* detector = nullptr;
   const isa::Program* program = nullptr;
   const LaunchConfig* launch = nullptr;
   Addr sw_shared_shadow_base = 0;  ///< device base of this SM's sw shadow
   /// Optional sink recording every coalesced global transaction address
   /// (used by the virtual-memory TLB study).
   std::vector<Addr>* global_trace = nullptr;
-  /// Optional access-trace recorder (SimConfig::trace_path). Issue-phase
-  /// events are staged per SM and flushed serially in SM-id order by the
-  /// engine; global-memory events are written during commit_epoch.
+  /// Optional access-trace recorder (SimConfig::trace_path). It receives
+  /// the same events as the detector, at the same points.
   trace::TraceWriter* trace = nullptr;
   /// Optional fault injector (SimConfig::faults); null = no faults. The
   /// SM only draws from its own per-SM streams during cycle(), keeping
@@ -72,30 +78,36 @@ class Sm {
   Sm(u32 sm_id, const SmEnv& env);
 
   /// Try to start `block_id`; returns false if no capacity. Runs in the
-  /// serial scheduler context (its trace event is written directly).
+  /// serial scheduler context, so its event is consumed directly.
   bool try_launch_block(u32 block_id, Cycle now);
 
   /// Advance one core cycle. Safe to call concurrently with other SMs'
   /// cycle()/deliver(); cross-SM effects are staged until commit_epoch.
   void cycle(Cycle now);
 
-  /// End-of-cycle barrier (serial, engine calls SMs in id order): drain
-  /// staged race records and replay deferred global-memory work. This
-  /// SM's staged packets are injected by the engine's interconnect sweep
-  /// that follows.
-  void commit_epoch();
+  /// End-of-cycle barrier (serial, engine calls SMs in id order): replay
+  /// deferred global-memory work, whose events the detector checks here.
+  /// This SM's staged packets are injected by the engine's interconnect
+  /// sweep that follows. Inline early-out: most SM-cycles defer nothing.
+  void commit_epoch() {
+    if (deferred_count_ != 0) commit_deferred();
+  }
 
-  /// Write this SM's staged issue-phase trace events. Called serially in
-  /// SM-id order between the parallel SM phase and the commit loop, so
-  /// the file order matches the engine's deterministic phase order.
-  void flush_trace();
+  /// Hand this SM's staged issue-phase events to the detector and trace
+  /// writer, with the cycle's ID-register faults in their place. Called
+  /// serially in SM-id order between the parallel SM phase and the
+  /// commit loop, so the order matches the engine's phase order.
+  void flush_events() {
+    if (staged_count_ != 0 || !staged_faults_.empty()) flush_staged();
+  }
 
   bool busy() const { return resident_blocks_ > 0; }
   u32 resident_blocks() const { return resident_blocks_; }
   u32 blocks_completed() const { return blocks_completed_; }
-  /// Is this SM recording an access trace? (All SMs share the answer;
-  /// the engine caches it to skip the per-cycle flush sweep.)
-  bool tracing() const { return env_.trace != nullptr; }
+  /// Flag this SM raises whenever it stages an event or fault, so the
+  /// engine's flush sweep runs only in cycles that have something to
+  /// flush. Raised from the parallel phase, hence atomic.
+  void set_staged_flag(std::atomic<bool>* flag) { staged_flag_ = flag; }
 
   /// Deliver a memory response routed back by the GPU.
   void deliver(const mem::Response& rsp, Cycle now);
@@ -113,8 +125,6 @@ class Sm {
   u64 barriers() const { return barriers_; }
   u64 fences() const { return fences_; }
 
-  const rd::SmIdRegisters& ids() const { return ids_; }
-  rd::SmIdRegisters& ids() { return ids_; }
   const mem::Cache& l1() const { return l1_; }
 
   /// One line per live warp ("sm0.w1 pc=33 state=WaitMem pend=1 stores=0"),
@@ -139,15 +149,12 @@ class Sm {
 
   u32 apply_atomic(isa::AtomicOp op, u32 old, u32 operand, u32 compare) const;
 
-  /// Build the HAccRG access descriptor for one lane.
-  rd::AccessInfo make_access(const WarpContext& warp, u32 lane, Addr addr, u8 size, bool is_write,
-                             u32 pc, Cycle now, bool l1_hit) const;
-
   /// True when the opt-in static filter suppresses the RDU check at `pc`.
   bool static_filtered(u32 pc) const;
 
   /// Roll the ID-register fault sites once per issued instruction
-  /// (Bloom signature flips, fence/sync ID drops).
+  /// (Bloom signature flips, fence/sync ID drops) and stage the effects
+  /// for the detector behind the events already staged this cycle.
   void inject_id_faults();
 
   /// Stage a packet on this SM's interconnect queue (sent at commit).
@@ -160,10 +167,10 @@ class Sm {
   void block_finished(u32 block_slot, Cycle now);
 
   /// A global-memory instruction whose shared-state effects (device
-  /// memory, global trace, global RDU) wait for the epoch barrier. The
+  /// memory, global trace, detector) wait for the epoch barrier. The
   /// SM-local side — coalescing, L1 state, wait/wakeup bookkeeping, and
   /// the application packets — already happened at issue; only what the
-  /// replay needs is captured here.
+  /// commit needs is captured here.
   struct DeferredGlobalOp {
     u32 warp_slot = 0;
     bool is_store = false;
@@ -178,12 +185,13 @@ class Sm {
       u32 compare;  ///< atomic CAS comparand
     };
     std::vector<Lane> lanes;
-    std::vector<Addr> trace_addrs;       ///< coalesced segments, issue order
-    std::vector<rd::AccessInfo> checks;  ///< global RDU inputs, issue order
-    trace::Event trace_event;            ///< written at commit when recording
-    bool has_trace_event = false;
+    std::vector<Addr> trace_addrs;  ///< coalesced segments, issue order
+    trace::Event event;             ///< consumed at commit when recording
+    bool has_event = false;
   };
-  void replay(DeferredGlobalOp& op);
+  void commit(DeferredGlobalOp& op);
+  void commit_deferred();
+  void flush_staged();
 
   /// Next pooled deferred-op slot: inner vectors are cleared, not freed,
   /// so steady-state global-memory issue performs no heap allocation.
@@ -197,10 +205,13 @@ class Sm {
     warp.state = s;
   }
 
-  /// Stage one issue-phase trace event (no-op unless recording).
-  void stage_trace(trace::Event event) {
-    if (env_.trace != nullptr) trace_staged_.push_back(std::move(event));
-  }
+  /// Next pooled staged-event slot, reset to a `kind` event of this SM
+  /// at `now` (call only when recording). Pooled like deferred_: each
+  /// slot keeps its lane vector's capacity.
+  trace::Event& stage_event(trace::EventKind kind, Cycle now);
+
+  /// Hand one event to the detector and the trace writer.
+  void emit(const trace::Event& event);
 
   u32 sm_id_;
   SmEnv env_;
@@ -208,8 +219,8 @@ class Sm {
   std::vector<BlockContext> blocks_;
   mem::SharedMemory smem_;
   mem::Cache l1_;
-  rd::SmIdRegisters ids_;
-  std::unique_ptr<rd::SharedRdu> shared_rdu_;
+  bool recording_ = false;  ///< env_.detector or env_.trace set
+  std::atomic<bool>* staged_flag_ = nullptr;
 
   u32 resident_blocks_ = 0;
   u32 blocks_completed_ = 0;
@@ -218,20 +229,28 @@ class Sm {
   Cycle issue_free_at_ = 0;
   u64 token_counter_ = 0;
 
-  // Thread-confined epoch staging, replayed by commit_epoch(). The
-  // deferred-op arena is slot-pooled: commit resets the count, capacity
-  // (including each op's inner vectors) persists across cycles.
-  rd::RaceStaging race_staging_;
+  // Thread-confined epoch staging, replayed by flush_events() and
+  // commit_epoch(). Both arenas are slot-pooled: the serial phase resets
+  // the count, capacity (including inner vectors) persists across cycles.
   std::vector<DeferredGlobalOp> deferred_;
   u32 deferred_count_ = 0;
-  std::vector<trace::Event> trace_staged_;  ///< issue-phase events this cycle
+  std::vector<trace::Event> staged_;  ///< issue-phase events; the first staged_count_ are live
+  u32 staged_count_ = 0;
+  /// An ID-register fault rolled this cycle, applied after the first
+  /// `at` staged events: a fence commit staged by deliver() precedes the
+  /// roll, and dropping a fence ID does not commute with bumping it.
+  struct StagedIdFault {
+    u32 at = 0;
+    fault::FaultSite site = fault::FaultSite::kBloomFlip;
+    u64 pick = 0;
+  };
+  std::vector<StagedIdFault> staged_faults_;
 
   // Scratch buffers reused across instructions to avoid per-issue churn.
   std::vector<mem::LaneAccess> scratch_accesses_;
   std::vector<Addr> scratch_shadow_;
   std::vector<u32> scratch_smem_addrs_;  ///< shared-mem lane addresses
   mem::CoalesceBuffer coalesce_buf_;
-  mem::WawBuffer waw_buf_;
 
   // Counters.
   u64 warp_instructions_ = 0;

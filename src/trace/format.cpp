@@ -302,12 +302,6 @@ void encode_event(const Event& event, Cycle& last_cycle, std::vector<u8>& out) {
   }
 }
 
-namespace {
-
-/// Reset an event to its default-constructed value while keeping the
-/// lane vector's (and label's) heap capacity — decode_event runs once
-/// per record, and replay feeds it the same Event object millions of
-/// times.
 void reset_event(Event& out) {
   out.kind = EventKind::kKernelBegin;
   out.cycle = 0;
@@ -332,8 +326,6 @@ void reset_event(Event& out) {
   out.smem_bytes = 0;
   out.lanes.clear();
 }
-
-}  // namespace
 
 bool decode_event(DecodeCursor& cursor, Cycle& last_cycle, Event& out) {
   reset_event(out);

@@ -144,6 +144,11 @@ struct Event {
   bool operator==(const Event&) const = default;
 };
 
+/// Reset an event to its default-constructed value while keeping the
+/// lane vector's (and label's) heap capacity: decoders and the SMs'
+/// pooled event slots reuse one Event per record.
+void reset_event(Event& out);
+
 /// Trace header: the machine and detector the recording run modelled.
 /// Enough to rebuild SharedRdu/GlobalRdu/SmIdRegisters byte-exactly.
 struct TraceHeader {

@@ -1,18 +1,12 @@
 // Trace-driven detection replay: stream a recorded access trace straight
 // into the race detectors — the hardware SharedRdu/GlobalRdu pair, the
 // software-HAccRG tag emulator, and the GRace-add baseline — without the
-// timing simulator. The file's event order is the engine's deterministic
-// phase order (see format.hpp), so replay reconstructs every ID-register
-// and shadow-state read exactly as the live run performed it and produces
-// the same set of race records; the equivalence tests and the
+// timing simulator. The hardware pair runs inside a trace::Detector, the
+// same class a live launch feeds its events to, in the same order (the
+// file's event order is the engine's phase order, see format.hpp). So
+// replay keeps exactly the live run's race log, including which records
+// survive the max_recorded_races cap; the equivalence tests and the
 // `haccrg-trace diff` command assert this.
-//
-// One known divergence window: the RaceLog stops recording new unique
-// races at max_recorded_races. Live and replay log identical record
-// *sets* below the cap; if the cap binds mid-cycle the two may keep a
-// different subset (insertion order within a cycle differs — shared
-// events of all SMs replay before global ones). DESIGN.md discusses this;
-// none of the registry kernels comes near the cap.
 #pragma once
 
 #include <atomic>
@@ -100,7 +94,7 @@ struct ReplayOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Cache of built per-kernel detector state keyed by shard assignment.
+/// Cache of built per-kernel detectors keyed by shard assignment.
 /// acquire/release are internal to the replay engine; callers just keep
 /// the arena alive across replays and read the reuse counters.
 class ReplayArena {
@@ -195,9 +189,8 @@ ReplayResult replay_decoded(const DecodedTrace& trace, const ReplayOptions& opts
 /// thread each) over the same decoded trace and merge the disjoint
 /// per-shard race sets in shard order — a deterministic reduction whose
 /// race identity sets are exactly serial replay's for any worker count.
-/// (The only caveat is the documented RaceLog recording cap: each shard
-/// gets the full cap, so a trace that saturates the serial log can keep
-/// more races sharded.) `opts.shard_count/shard_index` are overridden.
+/// (Each shard's log has the full max_recorded_races cap, so a trace that
+/// saturates the serial log can keep more races sharded.) `opts.shard_count/shard_index` are overridden.
 ReplayResult replay_sharded(const DecodedTrace& trace, u32 workers,
                             const ReplayOptions& opts = {});
 

@@ -227,46 +227,42 @@ rd::AccessInfo lane(u16 slot, Addr addr, bool write) {
 }
 
 TEST(SharedRdu, DetectsCrossWarpConflictAndLogs) {
-  rd::RaceStaging log;
+  rd::RaceLog log;
   rd::SharedRdu rdu(0, 16 * 1024, shared_config(4), default_policy(), log);
   rdu.check(lane(0, 0x100, true));
   rdu.check(lane(40, 0x100, false));
-  EXPECT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.total(), 1u);
   EXPECT_EQ(rdu.races_found(), 1u);
 }
 
 TEST(SharedRdu, GranularityAliasing) {
-  rd::RaceStaging log;
+  rd::RaceLog log;
   rd::SharedRdu rdu(0, 16 * 1024, shared_config(16), default_policy(), log);
   rdu.check(lane(0, 0x100, true));
   rdu.check(lane(40, 0x10c, true));  // different word, same 16B granule
-  EXPECT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.total(), 1u);
 }
 
 TEST(SharedRdu, ResetRegionCostScalesWithEntries) {
-  rd::RaceStaging log;
-  rd::SharedRdu rdu(0, 16 * 1024, shared_config(16), default_policy(), log);
   // 4 KB region at 16 B granularity = 256 entries over 16 banks.
-  EXPECT_EQ(rdu.reset_region(0, 4096, 16), 16u);
-  EXPECT_EQ(rdu.reset_region(0, 0, 16), 0u);
+  EXPECT_EQ(rd::SharedRdu::reset_cycles(0, 4096, 16, 16), 16u);
+  EXPECT_EQ(rd::SharedRdu::reset_cycles(0, 0, 16, 16), 0u);
 }
 
 TEST(SharedRdu, ResetClearsOnlyTheRegion) {
-  rd::RaceStaging log;
+  rd::RaceLog log;
   rd::SharedRdu rdu(0, 16 * 1024, shared_config(4), default_policy(), log);
   rdu.check(lane(0, 0x100, true));   // region A
   rdu.check(lane(0, 0x2000, true));  // region B
-  rdu.reset_region(0, 0x1000, 16);   // clears A only
+  rdu.reset_region(0, 0x1000);       // clears A only
   EXPECT_TRUE(rdu.entry_at(0x100).m && rdu.entry_at(0x100).s);   // initial again
   EXPECT_TRUE(rdu.entry_at(0x2000).m && !rdu.entry_at(0x2000).s);  // still owned
 }
 
 TEST(SharedRdu, ShadowLineMapping) {
-  rd::RaceStaging log;
-  rd::SharedRdu rdu(0, 16 * 1024, shared_config(16), default_policy(), log);
   // Granule i has a 2-byte sw entry; a 128 B line holds 64 entries, i.e.
-  // covers 1 KB of scratchpad.
-  auto lines = rdu.shadow_lines({0u, 512u, 1024u, 2048u}, 128);
+  // covers 1 KB of scratchpad at 16 B granularity.
+  auto lines = rd::SharedRdu::shadow_lines({0u, 512u, 1024u, 2048u}, 16, 128);
   EXPECT_EQ(lines.size(), 3u);  // 0 and 512 share line 0; 1024 -> 1; 2048 -> 2
 }
 

@@ -1,10 +1,11 @@
 // Replay-vs-live equivalence: for every registry kernel (and a sample of
 // the injection campaign), recording a trace and replaying it through the
-// detectors must reproduce the live run's race-location set exactly. Also
-// covers: recording is byte-identical across engine thread counts (the
-// trace is written only in serial phases), the software-emulator replays
-// agree with the instrumented live runs on the race verdict, and the
-// checked-in golden trace still replays to its recorded race set.
+// detectors must reproduce the live run's race-location set exactly, and
+// a binding max_recorded_races cap must keep the same records both ways.
+// Also covers: recording is byte-identical across engine thread counts
+// (the trace is written only in serial phases), the software-emulator
+// replays agree with the instrumented live runs on the race verdict, and
+// the checked-in golden trace still replays to its recorded race set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "analysis/static_race.hpp"
+#include "isa/builder.hpp"
 #include "kernels/common.hpp"
 #include "sim/gpu.hpp"
 #include "swrace/grace.hpp"
@@ -124,6 +126,92 @@ TEST(TraceReplayInjection, SampledCampaignAcrossSeeds) {
                             std::string(c.kernel) + "_inj_s" + std::to_string(seed));
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+// Two blocks whose intra-warp WAWs land on one cycle: block 0 (SM0) in
+// global memory, block 1 (SM1) in shared memory. Block 0 runs an empty
+// loop once and block 1 skips it, which lines SM0's global store up with
+// SM1's shared store three instructions later.
+isa::Program same_cycle_waw_kernel() {
+  isa::KernelBuilder kb("same_cycle_waw");
+  const isa::Reg tid = kb.special(isa::SpecialReg::kTid);
+  const isa::Reg cta = kb.special(isa::SpecialReg::kCtaId);
+  const isa::Reg buf = kb.param(0);
+  const isa::Pred block0 = kb.pred();
+  kb.setp(block0, isa::CmpOp::kEq, cta, 0u);
+  const isa::Reg lane_word = kb.reg();
+  kb.shl(lane_word, tid, 2u);
+  // Global: one word for block 0's lanes, a word per lane (further up the
+  // buffer) for block 1's.
+  const isa::Reg per_lane_global = kb.reg();
+  kb.add(per_lane_global, lane_word, 256u);
+  kb.add(per_lane_global, per_lane_global, buf);
+  const isa::Reg global_addr = kb.reg();
+  kb.sel(global_addr, block0, buf, per_lane_global);
+  // Shared: a word per lane for block 0, one word for block 1.
+  const isa::Reg zero = kb.imm(0);
+  const isa::Reg shared_addr = kb.reg();
+  kb.sel(shared_addr, block0, lane_word, zero);
+  const isa::Reg trips = kb.reg();
+  kb.sel(trips, block0, kb.imm(1), zero);
+  const isa::Reg i = kb.reg();
+  kb.for_range(i, 0u, trips, 1u, [] {});
+  kb.st_global(global_addr, tid);
+  const isa::Reg pad = kb.reg();
+  for (int n = 0; n < 3; ++n) kb.mov(pad, tid);
+  kb.st_shared(shared_addr, tid);
+  kb.exit();
+  return kb.build();
+}
+
+TEST(TraceReplayCap, BindingCapKeepsTheSameRecordsLiveAndReplayed) {
+  const isa::Program program = same_cycle_waw_kernel();
+  auto run = [&](u32 cap, const std::string& path, sim::SimResult& live,
+                 trace::ReplayResult& replayed) {
+    arch::GpuConfig gpu_cfg;  // Table I
+    gpu_cfg.device_mem_bytes = 4 * 1024 * 1024;
+    rd::HaccrgConfig det = detection_word();
+    det.max_recorded_races = cap;
+    sim::SimConfig sim_cfg;
+    sim_cfg.trace_path = path;
+    {
+      sim::Gpu gpu(gpu_cfg, det, sim_cfg);
+      sim::LaunchConfig launch;
+      launch.program = &program;
+      launch.grid_dim = 2;
+      launch.block_dim = 32;
+      launch.shared_mem_bytes = 256;
+      launch.params[0] = gpu.allocator().alloc(1024, "buf");
+      live = gpu.launch(launch);
+    }
+    replayed = trace::replay_trace(path);
+    std::remove(path.c_str());
+  };
+
+  // Precondition: uncapped, the run has exactly the two WAWs, on one
+  // cycle. A timing change that separates them fails here instead of
+  // leaving the cap checks below testing nothing.
+  sim::SimResult live;
+  trace::ReplayResult replayed;
+  run(64, trace_file("cap64"), live, replayed);
+  ASSERT_TRUE(live.completed) << live.error;
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  ASSERT_EQ(live.races.races().size(), 2u);
+  const rd::RaceRecord& a = live.races.races()[0];
+  const rd::RaceRecord& b = live.races.races()[1];
+  ASSERT_EQ(a.mechanism, rd::RaceMechanism::kIntraWarpWaw);
+  ASSERT_EQ(b.mechanism, rd::RaceMechanism::kIntraWarpWaw);
+  ASSERT_NE(a.space, b.space);
+  ASSERT_EQ(a.cycle, b.cycle);
+  EXPECT_EQ(replayed.race_set(), trace::race_identity_set(live.races));
+
+  for (u32 cap : {1u, 2u}) {
+    run(cap, trace_file("cap" + std::to_string(cap)), live, replayed);
+    ASSERT_TRUE(live.completed) << live.error;
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    EXPECT_EQ(live.races.races().size(), cap);
+    EXPECT_EQ(replayed.race_set(), trace::race_identity_set(live.races)) << "cap " << cap;
   }
 }
 
