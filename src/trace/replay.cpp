@@ -1,6 +1,5 @@
 #include "trace/replay.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
