@@ -11,8 +11,8 @@ Engine::Engine(std::vector<std::unique_ptr<Sm>>& sms,
       // More workers than work units would only add barrier traffic.
       pool_(std::min(sim.num_threads,
                      std::max(static_cast<u32>(sms.size()), static_cast<u32>(partitions.size())))),
-      profiler_(sim.profile) {
-  for (auto& sm : sms) sm->set_staged_flag(&staged_);
+      profiler_(sim.profile), recording_(!sms.empty() && sms.front()->recording()) {
+  committing_.reserve(sms.size());
 }
 
 void Engine::sm_phase(void* ctx, u32 begin, u32 end) {
@@ -38,19 +38,23 @@ void Engine::step(Cycle now) {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kSmCycle);
     pool_.run(&Engine::sm_phase, this, static_cast<u32>(sms_->size()));
   }
-  // Detection and trace recording: hand every SM's staged issue-phase
-  // events to the detector and writer in SM-id order before the commit
-  // loop appends the cycle's global-memory events, so both consume the
-  // serial phases' execution order (shared checks run here). Skipped in
-  // the many cycles where no SM staged anything.
-  if (staged_.load(std::memory_order_relaxed)) {
-    staged_.store(false, std::memory_order_relaxed);
+  // One serial sweep in SM-id order hands each SM's staged issue-phase
+  // events to the detector and trace writer (shared checks run here) and
+  // notes which SMs deferred global-memory work; the commit loop then
+  // replays those, also in SM-id order. Every SM's issue-phase events
+  // thus precede the cycle's global-memory events, the order both
+  // consumers rely on, and each SM is visited once per cycle.
+  {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kTraceFlush);
-    for (auto& sm : *sms_) sm->flush_events();
+    committing_.clear();
+    for (auto& sm : *sms_) {
+      if (recording_) sm->flush_events();
+      if (sm->deferred()) committing_.push_back(sm.get());
+    }
   }
   {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommit);
-    for (auto& sm : *sms_) sm->commit_epoch();
+    for (Sm* sm : committing_) sm->commit_epoch();
     icnt_->commit_requests(now);
   }
   {

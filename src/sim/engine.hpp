@@ -5,13 +5,15 @@
 //   Phase 1 (parallel over SMs):        deliver responses, SM core cycle.
 //                                       All cross-SM effects are staged
 //                                       thread-confined inside the SM.
-//   Flush (serial, SM-id order):        when detecting or tracing,
+//   Sweep (serial, SM-id order):        when detecting or tracing,
 //                                       Sm::flush_events hands each SM's
 //                                       staged issue-phase events to the
 //                                       detector (shared checks, ID
-//                                       registers) and the trace writer.
+//                                       registers) and the trace writer;
+//                                       the sweep also notes the SMs with
+//                                       deferred global-memory work.
 //   Phase 2 (serial, SM-id order):      commit barrier — Sm::commit_epoch
-//                                       replays each SM's deferred
+//                                       replays those SMs' deferred
 //                                       global-memory ops (functional
 //                                       effects, global checks, trace
 //                                       events); then one interconnect
@@ -27,7 +29,6 @@
 // the determinism test suite holds the engine to that.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -60,7 +61,8 @@ class Engine {
   mem::Interconnect* icnt_;
   WorkerPool pool_;
   PhaseProfiler profiler_;
-  std::atomic<bool> staged_{false};  ///< some SM staged events this cycle (set by the SMs)
+  bool recording_ = false;  ///< cached: a detector or trace writer consumes events
+  std::vector<Sm*> committing_;  ///< this cycle's SMs with deferred work, in id order
   Cycle now_ = 0;
 };
 

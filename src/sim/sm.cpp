@@ -125,7 +125,6 @@ void Sm::emit(const trace::Event& event) {
 trace::Event& Sm::stage_event(trace::EventKind kind, Cycle now) {
   if (staged_count_ == staged_.size()) staged_.emplace_back();
   trace::Event& e = staged_[staged_count_++];
-  staged_flag_->store(true, std::memory_order_relaxed);
   trace::reset_event(e);
   e.kind = kind;
   e.cycle = now;
@@ -204,7 +203,6 @@ void Sm::inject_id_faults() {
     staged_faults_.push_back({staged_count_, fault::FaultSite::kBloomFlip, pick});
   if (env_.faults->racereg_drop(sm_id_, pick) && env_.detector != nullptr)
     staged_faults_.push_back({staged_count_, fault::FaultSite::kRaceRegDrop, pick});
-  if (!staged_faults_.empty()) staged_flag_->store(true, std::memory_order_relaxed);
 }
 
 void Sm::send_packet(mem::Packet pkt) {
@@ -214,7 +212,7 @@ void Sm::send_packet(mem::Packet pkt) {
   env_.icnt->stage_request(sm_id_, std::move(pkt));
 }
 
-void Sm::commit_deferred() {
+void Sm::commit_epoch() {
   for (u32 i = 0; i < deferred_count_; ++i) commit(deferred_[i]);
   deferred_count_ = 0;
   // Staged packets are injected by the engine's single fair
@@ -620,7 +618,9 @@ void Sm::exec_barrier(WarpContext& warp, Cycle now) {
   ++warp.pc;
   ++block.warps_at_barrier;
 
-  if (recording_) {
+  // Arrivals and fence issues are trace-only: the detector acts on the
+  // release and the commit, so nothing is staged for it here.
+  if (env_.trace != nullptr) {
     trace::Event& e = stage_event(trace::EventKind::kBarrierArrive, now);
     e.block_slot = warp.block_slot();
     e.warp_slot = warp.warp_slot();
@@ -659,7 +659,7 @@ void Sm::exec_barrier(WarpContext& warp, Cycle now) {
 void Sm::exec_fence(WarpContext& warp, Cycle now) {
   ++fences_;
   ++warp.pc;
-  if (recording_) stage_event(trace::EventKind::kFence, now).warp_slot = warp.warp_slot();
+  if (env_.trace != nullptr) stage_event(trace::EventKind::kFence, now).warp_slot = warp.warp_slot();
   if (warp.outstanding_stores == 0) {
     warp.ready_at = now + env_.gpu->fence_latency;
     if (recording_) stage_event(trace::EventKind::kFenceCommit, now).warp_slot = warp.warp_slot();

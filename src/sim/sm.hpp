@@ -27,7 +27,6 @@
 // can read a deferred register or memory value before it lands.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -85,13 +84,15 @@ class Sm {
   /// cycle()/deliver(); cross-SM effects are staged until commit_epoch.
   void cycle(Cycle now);
 
+  /// Global-memory work waits for commit_epoch(). Most SM-cycles defer
+  /// nothing, so the engine commits only the SMs that did.
+  bool deferred() const { return deferred_count_ != 0; }
+
   /// End-of-cycle barrier (serial, engine calls SMs in id order): replay
   /// deferred global-memory work, whose events the detector checks here.
   /// This SM's staged packets are injected by the engine's interconnect
-  /// sweep that follows. Inline early-out: most SM-cycles defer nothing.
-  void commit_epoch() {
-    if (deferred_count_ != 0) commit_deferred();
-  }
+  /// sweep that follows.
+  void commit_epoch();
 
   /// Hand this SM's staged issue-phase events to the detector and trace
   /// writer, with the cycle's ID-register faults in their place. Called
@@ -104,10 +105,8 @@ class Sm {
   bool busy() const { return resident_blocks_ > 0; }
   u32 resident_blocks() const { return resident_blocks_; }
   u32 blocks_completed() const { return blocks_completed_; }
-  /// Flag this SM raises whenever it stages an event or fault, so the
-  /// engine's flush sweep runs only in cycles that have something to
-  /// flush. Raised from the parallel phase, hence atomic.
-  void set_staged_flag(std::atomic<bool>* flag) { staged_flag_ = flag; }
+  /// A detector or trace writer consumes this SM's events.
+  bool recording() const { return recording_; }
 
   /// Deliver a memory response routed back by the GPU.
   void deliver(const mem::Response& rsp, Cycle now);
@@ -190,7 +189,6 @@ class Sm {
     bool has_event = false;
   };
   void commit(DeferredGlobalOp& op);
-  void commit_deferred();
   void flush_staged();
 
   /// Next pooled deferred-op slot: inner vectors are cleared, not freed,
@@ -220,7 +218,6 @@ class Sm {
   mem::SharedMemory smem_;
   mem::Cache l1_;
   bool recording_ = false;  ///< env_.detector or env_.trace set
-  std::atomic<bool>* staged_flag_ = nullptr;
 
   u32 resident_blocks_ = 0;
   u32 blocks_completed_ = 0;
