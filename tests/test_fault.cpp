@@ -1,20 +1,25 @@
 // Fault-injection framework and graceful-degradation tests: FaultPlan
 // parsing, per-site RNG stream independence, strict config validation
 // (HaccrgConfig::validate / SimConfig::parse_env), the finite shadow
-// table's eviction accounting, RaceLog saturation, and the end-to-end
+// table's eviction accounting, RaceLog saturation, the end-to-end
 // coverage-accounting invariant — every lost detection opportunity shows
-// up in rd.coverage_lost, never silently.
+// up in rd.coverage_lost, never silently — and the order in which an
+// ID-register fault meets a same-cycle fence commit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "fault/fault.hpp"
 #include "haccrg/options.hpp"
 #include "haccrg/race.hpp"
+#include "isa/builder.hpp"
 #include "kernels/common.hpp"
 #include "sim/gpu.hpp"
 #include "sim/sim_config.hpp"
+#include "temp_path.hpp"
+#include "trace/reader.hpp"
 
 namespace haccrg {
 namespace {
@@ -375,6 +380,113 @@ TEST(Degradation, MaxRetriesBoundsWorstCaseUnderFullDropRate) {
   // Every packet is eventually forced through — the run terminates and
   // says how often the bound fired.
   EXPECT_GT(r.stats.get("icnt.fault_forced"), 0u);
+}
+
+// --- ID-register faults meet fence commits in staged-event order ---------------
+
+// Three one-warp blocks on two SMs. Block 0 (SM0, warp slot 0) stores a
+// word per lane and fences; its fence commits when the store
+// acknowledgement is delivered. Block 2 (SM0, warp slot 1) spins, then
+// issues its own fence in that same cycle. Block 1 (SM1) spins, then
+// reads block 0's words. The trip counts are the per-block spins.
+isa::Program fence_meets_drop_kernel(u32 filler_trips, u32 reader_trips) {
+  isa::KernelBuilder kb("fence_meets_drop");
+  const isa::Reg tid = kb.special(isa::SpecialReg::kTid);
+  const isa::Reg cta = kb.special(isa::SpecialReg::kCtaId);
+  const isa::Reg buf = kb.param(0);
+  const isa::Pred writer = kb.pred();
+  const isa::Pred reader = kb.pred();
+  kb.setp(writer, isa::CmpOp::kEq, cta, 0u);
+  kb.setp(reader, isa::CmpOp::kEq, cta, 1u);
+  const isa::Reg word = kb.reg();
+  kb.shl(word, tid, 2u);
+  kb.add(word, word, buf);
+  const isa::Reg trips = kb.reg();
+  kb.sel(trips, reader, kb.imm(reader_trips), kb.imm(filler_trips));
+  kb.sel(trips, writer, kb.imm(0), trips);
+  kb.if_(writer, [&] { kb.st_global(word, tid); });
+  const isa::Reg i = kb.reg();
+  kb.for_range(i, 0u, trips, 1u, [] {});
+  kb.mov(i, tid);
+  kb.if_(reader, [&] { kb.ld_global(i, word); });
+  kb.memfence();
+  kb.exit();
+  return kb.build();
+}
+
+TEST(FaultOrdering, FenceCommitComesBeforeTheSameCycleFenceIdDrop) {
+  // In one SM0 cycle, Sm::deliver commits warp 0's fence (the store ack)
+  // and warp 1's fence issue rolls racereg_drop. The roll follows the
+  // commit, so its effect must too: bump warp 0's fence ID, then drop it
+  // to zero. The reader then finds the ID its write recorded and reports
+  // the unfenced-looking read. Applied the other way round, the drop is
+  // undone by the bump and the read looks fenced.
+  const isa::Program program = fence_meets_drop_kernel(/*filler_trips=*/28, /*reader_trips=*/50);
+  auto run = [&](const FaultPlan& plan, const std::string& path) {
+    arch::GpuConfig gpu_cfg;
+    gpu_cfg.num_sms = 2;
+    gpu_cfg.max_threads_per_sm = 64;  // two warp slots: a drop picks warp 0 or 1
+    gpu_cfg.simd_width = 32;          // one issue per cycle
+    gpu_cfg.l2_latency = 19;          // lines the ack up with warp 1's fence
+    gpu_cfg.fence_latency = 400;      // SM0 issues nothing while the reader reads
+    gpu_cfg.device_mem_bytes = 4 * 1024 * 1024;
+    rd::HaccrgConfig det;
+    det.enable_global = true;
+    det.global_granularity = 4;
+    sim::SimConfig sim_cfg;
+    sim_cfg.faults = plan;
+    sim_cfg.trace_path = path;
+    sim::Gpu gpu(gpu_cfg, det, sim_cfg);
+    sim::LaunchConfig launch;
+    launch.program = &program;
+    launch.grid_dim = 3;
+    launch.block_dim = 32;
+    launch.params[0] = gpu.allocator().alloc(256, "buf");
+    return gpu.launch(launch);
+  };
+
+  // Without faults the fence orders the write before the read.
+  const std::string path = testing_util::temp_path("test_fault_fence_meets_drop.trc");
+  const sim::SimResult clean = run(FaultPlan{}, path);
+  ASSERT_TRUE(clean.completed) << clean.error;
+  EXPECT_EQ(clean.races.unique(), 0u);
+
+  // Every issued instruction drops an ID. With plan seed 2 the roll in
+  // the commit cycle draws warp 0's fence ID (an even draw d with
+  // (d >> 1) % 2 == 0); most seeds draw another register there.
+  FaultPlan plan;
+  plan.seed = 2;
+  plan.set_rate(FaultSite::kRaceRegDrop, 1'000'000);
+  const sim::SimResult faulty = run(plan, path);
+  ASSERT_TRUE(faulty.completed) << faulty.error;
+
+  // Precondition, from the run's trace: warp 0's fence commit and warp
+  // 1's fence share a cycle, and SM1's read falls inside the fence
+  // latency after it, before SM0 issues again. A timing change fails
+  // here instead of leaving the check below testing nothing.
+  Cycle commit0 = 0, commit1 = 0, read = 0;
+  {
+    trace::TraceReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    trace::Event e;
+    while (reader.next(e)) {
+      if (e.kind == trace::EventKind::kFenceCommit && e.sm == 0)
+        (e.warp_slot == 0 ? commit0 : commit1) = e.cycle;
+      if (e.kind == trace::EventKind::kGlobalLoad) read = e.cycle;
+    }
+  }
+  std::remove(path.c_str());
+  ASSERT_NE(commit0, 0u);
+  ASSERT_EQ(commit0, commit1);
+  ASSERT_GT(read, commit0);
+  ASSERT_LT(read, commit0 + 400);
+
+  ASSERT_EQ(faulty.races.races().size(), 32u);
+  for (const rd::RaceRecord& race : faulty.races.races()) {
+    EXPECT_EQ(race.mechanism, rd::RaceMechanism::kFence);
+    EXPECT_EQ(race.sm_id, 1u);
+    EXPECT_EQ(race.cycle, read);
+  }
 }
 
 }  // namespace
