@@ -11,9 +11,7 @@ Engine::Engine(std::vector<std::unique_ptr<Sm>>& sms,
       // More workers than work units would only add barrier traffic.
       pool_(std::min(sim.num_threads,
                      std::max(static_cast<u32>(sms.size()), static_cast<u32>(partitions.size())))),
-      profiler_(sim.profile), recording_(!sms.empty() && sms.front()->recording()) {
-  committing_.reserve(sms.size());
-}
+      profiler_(sim.profile), recording_(!sms.empty() && sms.front()->recording()) {}
 
 void Engine::sm_phase(void* ctx, u32 begin, u32 end) {
   Engine& self = *static_cast<Engine*>(ctx);
@@ -38,23 +36,18 @@ void Engine::step(Cycle now) {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kSmCycle);
     pool_.run(&Engine::sm_phase, this, static_cast<u32>(sms_->size()));
   }
-  // One serial sweep in SM-id order hands each SM's staged issue-phase
-  // events to the detector and trace writer (shared checks run here) and
-  // notes which SMs deferred global-memory work; the commit loop then
-  // replays those, also in SM-id order. Every SM's issue-phase events
-  // thus precede the cycle's global-memory events, the order both
-  // consumers rely on, and each SM is visited once per cycle.
-  {
+  // Hand every SM's staged issue-phase events to the detector and trace
+  // writer in SM-id order (shared checks run here) before the commit loop
+  // consumes the cycle's global-memory events, so both consumers see the
+  // serial phases' execution order. Skipped wholesale when neither is
+  // attached.
+  if (recording_) {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kTraceFlush);
-    committing_.clear();
-    for (auto& sm : *sms_) {
-      if (recording_) sm->flush_events();
-      if (sm->deferred()) committing_.push_back(sm.get());
-    }
+    for (auto& sm : *sms_) sm->flush_events();
   }
   {
     PhaseProfiler::Scope scope = profiler_.scope(EnginePhase::kCommit);
-    for (Sm* sm : committing_) sm->commit_epoch();
+    for (auto& sm : *sms_) sm->commit_epoch();
     icnt_->commit_requests(now);
   }
   {

@@ -5,15 +5,13 @@
 //   Phase 1 (parallel over SMs):        deliver responses, SM core cycle.
 //                                       All cross-SM effects are staged
 //                                       thread-confined inside the SM.
-//   Sweep (serial, SM-id order):        when detecting or tracing,
+//   Flush (serial, SM-id order):        when detecting or tracing,
 //                                       Sm::flush_events hands each SM's
 //                                       staged issue-phase events to the
 //                                       detector (shared checks, ID
-//                                       registers) and the trace writer;
-//                                       the sweep also notes the SMs with
-//                                       deferred global-memory work.
+//                                       registers) and the trace writer.
 //   Phase 2 (serial, SM-id order):      commit barrier — Sm::commit_epoch
-//                                       replays those SMs' deferred
+//                                       replays each SM's deferred
 //                                       global-memory ops (functional
 //                                       effects, global checks, trace
 //                                       events); then one interconnect
@@ -62,7 +60,6 @@ class Engine {
   WorkerPool pool_;
   PhaseProfiler profiler_;
   bool recording_ = false;  ///< cached: a detector or trace writer consumes events
-  std::vector<Sm*> committing_;  ///< this cycle's SMs with deferred work, in id order
   Cycle now_ = 0;
 };
 

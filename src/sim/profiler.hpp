@@ -18,7 +18,7 @@ namespace haccrg::sim {
 /// The epoch phases (see engine.hpp).
 enum class EnginePhase : u8 {
   kSmCycle = 0,  ///< parallel SM phase (deliver + core cycle)
-  kTraceFlush,   ///< serial SM sweep: issue-event flush (when detecting or tracing)
+  kTraceFlush,   ///< serial issue-event flush (when detecting or tracing)
   kCommit,       ///< serial commit of deferred global work + interconnect injection
   kPartition,    ///< parallel partition phase
   kResponse,     ///< serial response commit

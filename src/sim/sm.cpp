@@ -212,7 +212,7 @@ void Sm::send_packet(mem::Packet pkt) {
   env_.icnt->stage_request(sm_id_, std::move(pkt));
 }
 
-void Sm::commit_epoch() {
+void Sm::commit_deferred() {
   for (u32 i = 0; i < deferred_count_; ++i) commit(deferred_[i]);
   deferred_count_ = 0;
   // Staged packets are injected by the engine's single fair

@@ -84,15 +84,13 @@ class Sm {
   /// cycle()/deliver(); cross-SM effects are staged until commit_epoch.
   void cycle(Cycle now);
 
-  /// Global-memory work waits for commit_epoch(). Most SM-cycles defer
-  /// nothing, so the engine commits only the SMs that did.
-  bool deferred() const { return deferred_count_ != 0; }
-
   /// End-of-cycle barrier (serial, engine calls SMs in id order): replay
   /// deferred global-memory work, whose events the detector checks here.
   /// This SM's staged packets are injected by the engine's interconnect
-  /// sweep that follows.
-  void commit_epoch();
+  /// sweep that follows. Most SM-cycles defer nothing.
+  void commit_epoch() {
+    if (deferred_count_ != 0) commit_deferred();
+  }
 
   /// Hand this SM's staged issue-phase events to the detector and trace
   /// writer, with the cycle's ID-register faults in their place. Called
@@ -189,6 +187,7 @@ class Sm {
     bool has_event = false;
   };
   void commit(DeferredGlobalOp& op);
+  void commit_deferred();
   void flush_staged();
 
   /// Next pooled deferred-op slot: inner vectors are cleared, not freed,
