@@ -1,6 +1,7 @@
 #include "sim/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -408,8 +409,11 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
   // race-free at the detector's granularity.
   const bool static_skip = env_.haccrg->enable_shared && !is_atomic && static_filtered(warp.pc);
   const bool checked = env_.haccrg->enable_shared && !is_atomic && !static_skip;
+  // An unchecked access is only bounds-checked by the detector, so only
+  // the trace writer needs its event.
   trace::Event* event = nullptr;  // its lanes are filled in the loop below
-  if (recording_) {
+  u32 traced = 0;
+  if (checked ? recording_ : env_.trace != nullptr) {
     event = &stage_event(trace_kind_for(ins.op), now);
     event->block_slot = warp.block_slot();
     event->warp_slot = warp.warp_slot();
@@ -417,6 +421,7 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     event->pc = warp.pc;
     event->width = static_cast<u8>(width);
     event->checked = checked;
+    event->lanes.resize(std::popcount(warp.active));
   }
 
   scratch_smem_addrs_.clear();
@@ -427,7 +432,7 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     const u32 local = block.smem_base + block_addr;
     if (block_addr + width > block.smem_bytes) continue;  // out of the block's region
     scratch_smem_addrs_.push_back(local);
-    if (event != nullptr) event->lanes.push_back({static_cast<u8>(lane), local, false, 0});
+    if (event != nullptr) event->lanes[traced++] = {static_cast<u8>(lane), local, false, 0};
 
     // Functional effect.
     if (is_atomic) {
@@ -465,7 +470,10 @@ void Sm::exec_shared_mem(WarpContext& warp, const Instr& ins, Cycle now) {
                                : 0;
 
   // An access with no lane inside the block's region has no event.
-  if (event != nullptr && event->lanes.empty()) --staged_count_;
+  if (event != nullptr) {
+    event->lanes.resize(traced);
+    if (traced == 0) --staged_count_;
+  }
   if (static_skip) {
     static_filtered_ += scratch_smem_addrs_.size();
     static_filtered_shared_ += scratch_smem_addrs_.size();
@@ -542,8 +550,9 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     e.pc = warp.pc;
     e.width = static_cast<u8>(width);
     e.checked = detect && !is_atomic;
-    for (const auto& acc : scratch_accesses_)
-      e.lanes.push_back({static_cast<u8>(acc.lane), acc.addr, false, 0});
+    e.lanes.resize(scratch_accesses_.size());
+    for (size_t i = 0; i < scratch_accesses_.size(); ++i)
+      e.lanes[i] = {static_cast<u8>(scratch_accesses_[i].lane), scratch_accesses_[i].addr, false, 0};
   }
 
   u32 transactions = 0;
@@ -833,10 +842,11 @@ void Sm::execute(WarpContext& warp, Cycle now) {
         e.warp_slot = warp.warp_slot();
         e.warp_in_block = warp.warp_in_block();
         e.pc = warp.pc;
+        e.lanes.resize(std::popcount(warp.active));
+        u32 n = 0;
         for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
           if (!warp.lane_active(lane)) continue;
-          e.lanes.push_back(
-              {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0});
+          e.lanes[n++] = {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0};
         }
       }
       ++warp.pc;

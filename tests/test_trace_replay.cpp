@@ -3,9 +3,10 @@
 // detectors must reproduce the live run's race-location set exactly, and
 // a binding max_recorded_races cap must keep the same records both ways.
 // Also covers: recording is byte-identical across engine thread counts
-// (the trace is written only in serial phases), the software-emulator
-// replays agree with the instrumented live runs on the race verdict, and
-// the checked-in golden trace still replays to its recorded race set.
+// (the trace is written only in serial phases), a masked-off access
+// records no event, the software-emulator replays agree with the
+// instrumented live runs on the race verdict, and the checked-in golden
+// trace still replays to its recorded race set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,6 +244,29 @@ TEST(TraceReplayRecording, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1, t8);
   for (const char* tag : {"threads1", "threads2", "threads8"})
     std::remove(trace_file(tag).c_str());
+}
+
+TEST(TraceReplayRecording, MaskedOffAccessesRecordNoEvent) {
+  // KMEANS steps warps whose lanes are all masked off through shared
+  // stores; an access with no active lane in its block's region has no
+  // event, so every recorded access carries at least one lane.
+  const std::string path = trace_file("masked");
+  sim::SimResult live;
+  record("KMEANS", detection_combined(), BenchOptions{}, path, live);
+  if (::testing::Test::HasFatalFailure()) return;
+  trace::TraceReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  trace::DecodedTrace decoded;
+  ASSERT_TRUE(trace::decode_trace(reader, decoded).ok());
+  u64 accesses = 0;
+  for (const trace::Event& e : decoded.events) {
+    if (!trace::is_access_kind(e.kind)) continue;
+    ++accesses;
+    EXPECT_FALSE(e.lanes.empty()) << trace::event_kind_name(e.kind) << " at cycle " << e.cycle
+                                  << " on sm " << e.sm << " pc " << e.pc;
+  }
+  EXPECT_GT(accesses, 0u);
+  std::remove(path.c_str());
 }
 
 /// Live software-detector verdict for an instrumented run.
