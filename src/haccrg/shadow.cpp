@@ -4,7 +4,7 @@ namespace haccrg::rd {
 
 namespace {
 
-constexpr u16 kTidMask = 0x3ff;  // 10 bits
+constexpr u16 kTidMask = kShadowTidMask;
 
 /// Two accesses count as "same warp" (and therefore ordered by SIMD
 /// lockstep) only within the same SM, block slot, and warp slot.
@@ -28,54 +28,6 @@ RaceRecord make_race(RaceType type, RaceMechanism mech, MemSpace space, u16 firs
 }
 
 }  // namespace
-
-// --- Packing -----------------------------------------------------------------
-// M and S are stored inverted so the initial {M=1,S=1} state is all-zero:
-// barrier resets and cudaMemset-style initialization are plain memsets.
-
-SharedShadowEntry SharedShadowEntry::unpack(u16 raw) {
-  SharedShadowEntry e;
-  e.m = (raw & 0x1) == 0;
-  e.s = (raw & 0x2) == 0;
-  e.tid = (raw >> 2) & kTidMask;
-  return e;
-}
-
-u16 SharedShadowEntry::pack() const {
-  u16 raw = 0;
-  if (!m) raw |= 0x1;
-  if (!s) raw |= 0x2;
-  raw |= static_cast<u16>((tid & kTidMask) << 2);
-  return raw;
-}
-
-GlobalShadowEntry GlobalShadowEntry::unpack(u64 raw) {
-  GlobalShadowEntry e;
-  e.m = (raw & 0x1) == 0;
-  e.s = (raw & 0x2) == 0;
-  e.tid = static_cast<u16>((raw >> 2) & kTidMask);
-  e.bid = static_cast<u8>((raw >> 12) & 0x7);
-  e.sid = static_cast<u8>((raw >> 15) & 0x1f);
-  e.sync_id = static_cast<u8>((raw >> 20) & 0xff);
-  e.fence_id = static_cast<u8>((raw >> 28) & 0xff);
-  e.sig = static_cast<u16>((raw >> 36) & 0xffff);
-  e.cs_seen = ((raw >> 52) & 0x1) != 0;
-  return e;
-}
-
-u64 GlobalShadowEntry::pack() const {
-  u64 raw = 0;
-  if (!m) raw |= 0x1;
-  if (!s) raw |= 0x2;
-  raw |= static_cast<u64>(tid & kTidMask) << 2;
-  raw |= static_cast<u64>(bid & 0x7) << 12;
-  raw |= static_cast<u64>(sid & 0x1f) << 15;
-  raw |= static_cast<u64>(sync_id) << 20;
-  raw |= static_cast<u64>(fence_id) << 28;
-  raw |= static_cast<u64>(sig) << 36;
-  raw |= static_cast<u64>(cs_seen ? 1 : 0) << 52;
-  return raw;
-}
 
 // --- Shared-memory state machine (Section III-A) ------------------------------
 

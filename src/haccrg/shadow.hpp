@@ -42,6 +42,12 @@ struct AccessInfo {
   Cycle cycle = 0;
 };
 
+inline constexpr u16 kShadowTidMask = 0x3ff;  ///< 10-bit thread slot
+
+// Packing: M and S are stored inverted so the initial {M=1,S=1} state is
+// all-zero: barrier resets and cudaMemset-style initialization are plain
+// memsets. Every check unpacks and repacks an entry, so these are inline.
+
 /// Shared-memory shadow entry: 12 bits of architectural state (M, S,
 /// 10-bit tid). Packed so that an all-zero word encodes the initial
 /// {M=1,S=1} state — barrier-time invalidation is then a memset.
@@ -50,8 +56,20 @@ struct SharedShadowEntry {
   bool s = true;
   u16 tid = 0;
 
-  static SharedShadowEntry unpack(u16 raw);
-  u16 pack() const;
+  static SharedShadowEntry unpack(u16 raw) {
+    SharedShadowEntry e;
+    e.m = (raw & 0x1) == 0;
+    e.s = (raw & 0x2) == 0;
+    e.tid = (raw >> 2) & kShadowTidMask;
+    return e;
+  }
+  u16 pack() const {
+    u16 raw = 0;
+    if (!m) raw |= 0x1;
+    if (!s) raw |= 0x2;
+    raw |= static_cast<u16>((tid & kShadowTidMask) << 2);
+    return raw;
+  }
 };
 
 /// Global-memory shadow entry (Section IV-B): adds bid/sid/sync/fence/
@@ -68,8 +86,32 @@ struct GlobalShadowEntry {
   u16 sig = 0;     ///< 16-bit atomic-ID intersection so far
   bool cs_seen = false;  ///< some recorded access was inside a critical section
 
-  static GlobalShadowEntry unpack(u64 raw);
-  u64 pack() const;
+  static GlobalShadowEntry unpack(u64 raw) {
+    GlobalShadowEntry e;
+    e.m = (raw & 0x1) == 0;
+    e.s = (raw & 0x2) == 0;
+    e.tid = static_cast<u16>((raw >> 2) & kShadowTidMask);
+    e.bid = static_cast<u8>((raw >> 12) & 0x7);
+    e.sid = static_cast<u8>((raw >> 15) & 0x1f);
+    e.sync_id = static_cast<u8>((raw >> 20) & 0xff);
+    e.fence_id = static_cast<u8>((raw >> 28) & 0xff);
+    e.sig = static_cast<u16>((raw >> 36) & 0xffff);
+    e.cs_seen = ((raw >> 52) & 0x1) != 0;
+    return e;
+  }
+  u64 pack() const {
+    u64 raw = 0;
+    if (!m) raw |= 0x1;
+    if (!s) raw |= 0x2;
+    raw |= static_cast<u64>(tid & kShadowTidMask) << 2;
+    raw |= static_cast<u64>(bid & 0x7) << 12;
+    raw |= static_cast<u64>(sid & 0x1f) << 15;
+    raw |= static_cast<u64>(sync_id) << 20;
+    raw |= static_cast<u64>(fence_id) << 28;
+    raw |= static_cast<u64>(sig) << 36;
+    raw |= static_cast<u64>(cs_seen ? 1 : 0) << 52;
+    return raw;
+  }
 };
 
 /// Result of one shadow check: the (possibly) updated entry plus an

@@ -49,28 +49,34 @@ std::vector<CoalescedSegment> coalesce(const std::vector<LaneAccess>& accesses,
 }
 
 void WawBuffer::build(const std::vector<LaneAccess>& accesses, u32 granule_bytes) {
-  granules_.clear();
-  first_lane_.clear();
   conflicts_.clear();
+  // A warp whose granules rise lane by lane (the common unit-stride
+  // store) has no two lanes on one granule.
+  bool rising = true;
+  for (size_t i = 1; i < accesses.size() && rising; ++i)
+    rising = (accesses[i - 1].addr & ~(granule_bytes - 1)) < (accesses[i].addr & ~(granule_bytes - 1));
+  if (rising) return;
+  // Otherwise look each granule up in an open-addressed table at most
+  // half full; a per-build stamp marks the live slots, so the table is
+  // never cleared.
+  size_t size = table_.empty() ? 64 : table_.size();
+  while (size < 2 * accesses.size()) size *= 2;
+  if (table_.size() < size || ++stamp_ == 0) {
+    table_.assign(size, Slot{});
+    stamp_ = 1;
+  }
+  const u32 mask = static_cast<u32>(table_.size() - 1);
   for (const LaneAccess& a : accesses) {
     const Addr granule = a.addr & ~(granule_bytes - 1);
-    u32 g = 0;
-    const u32 n = static_cast<u32>(granules_.size());
-    while (g < n && granules_[g] != granule) ++g;
-    if (g == n) {
-      granules_.push_back(granule);
-      first_lane_.push_back(a.lane);
-      continue;
+    u32 h = ((granule * 0x9E3779B1u) >> 16) & mask;
+    while (table_[h].stamp == stamp_ && table_[h].granule != granule) h = (h + 1) & mask;
+    Slot& slot = table_[h];
+    if (slot.stamp != stamp_) {
+      slot = {stamp_, granule, a.lane, false};
+    } else if (slot.first_lane != a.lane && !slot.conflicted) {
+      slot.conflicted = true;
+      conflicts_.push_back({slot.first_lane, a.lane, granule});
     }
-    if (first_lane_[g] == a.lane) continue;
-    bool already = false;
-    for (const IntraWarpConflict& c : conflicts_) {
-      if (c.granule_addr == granule) {
-        already = true;
-        break;
-      }
-    }
-    if (!already) conflicts_.push_back({first_lane_[g], a.lane, granule});
   }
 }
 

@@ -69,7 +69,7 @@ struct IntraWarpConflict {
   Addr granule_addr = 0;
 };
 
-/// Reusable intra-warp WAW scratch (flat arrays, no per-call allocation
+/// Reusable intra-warp WAW scratch (a flat table, no per-call allocation
 /// in steady state). Conflicts are reported in the same order as
 /// intra_warp_waw(): the order each granule's second writer is seen.
 class WawBuffer {
@@ -79,8 +79,14 @@ class WawBuffer {
   const std::vector<IntraWarpConflict>& conflicts() const { return conflicts_; }
 
  private:
-  std::vector<Addr> granules_;    ///< first-touch granule bases
-  std::vector<u32> first_lane_;   ///< first writer lane per granule
+  struct Slot {
+    u32 stamp = 0;  ///< the build that filled the slot (0 = never)
+    Addr granule = 0;
+    u32 first_lane = 0;  ///< the granule's first writer
+    bool conflicted = false;  ///< a second writer was reported
+  };
+  std::vector<Slot> table_;  ///< granules seen this build, open addressing
+  u32 stamp_ = 0;
   std::vector<IntraWarpConflict> conflicts_;
 };
 

@@ -89,11 +89,23 @@ rd::AccessInfo Detector::event_access(const Event& event, bool is_write) const {
 }
 
 void Detector::load_lanes(const Event& event) {
-  lanes_.clear();
   // A damaged trace can carry width 0; coalescing it as one byte keeps
   // the segment walk bounded.
   const u8 size = std::max<u8>(event.width, 1);
-  for (const TraceLane& lane : event.lanes) lanes_.push_back({lane.lane, lane.addr, size});
+  lanes_.resize(event.lanes.size());
+  for (size_t i = 0; i < lanes_.size(); ++i) lanes_[i] = {event.lanes[i].lane, event.lanes[i].addr, size};
+}
+
+bool Detector::in_line_order(const Event& event) const {
+  const Addr mask = ~(machine_.l1_line - 1);
+  const u8 size = std::max<u8>(event.width, 1);
+  Addr prev = 0;
+  for (const TraceLane& lane : event.lanes) {
+    const Addr line = lane.addr & mask;
+    if (((lane.addr + size - 1) & mask) != line || line < prev) return false;
+    prev = line;
+  }
+  return true;
 }
 
 void Detector::record_waw(const BlockSlot& slot, const Event& event, rd::MemSpace space) {
@@ -158,26 +170,41 @@ bool Detector::on_global(const Event& event, std::vector<Addr>& shadow_out) {
     return true;
 
   const bool is_store = event.kind == EventKind::kGlobalStore;
-  load_lanes(event);
-  if (is_store) record_waw(slot, event, rd::MemSpace::kGlobal);
-  // Check order is the coalescer's: line segments in first-touch order,
-  // lanes in touch order within each segment.
-  coalesce_.build(lanes_, machine_.l1_line);
+  if (is_store) {
+    load_lanes(event);
+    record_waw(slot, event, rd::MemSpace::kGlobal);
+  }
   rd::AccessInfo a = event_access(event, is_store);
   a.sync_id = sm.ids.sync_id(event.block_slot);
   a.fence_id = sm.ids.fence_id(event.warp_slot);
   const u64 before = global_rdu_->checks();
-  for (u32 s = 0; s < coalesce_.size(); ++s) {
-    for (u32 idx : coalesce_[s].access_indices) {
-      const TraceLane& lane = event.lanes[idx];
-      a.addr = lane.addr;
-      a.thread_slot = static_cast<u16>(thread_slot(slot, event, lane.lane));
-      a.sig = sm.ids.sig(a.thread_slot);
-      a.in_cs = sm.ids.in_cs(a.thread_slot);
-      a.l1_hit = lane.l1_hit;
-      a.l1_fill_cycle = lane.l1_fill;
-      global_rdu_->check(a, shadow_out);
+  const auto check = [&](const TraceLane& lane) {
+    a.addr = lane.addr;
+    a.thread_slot = static_cast<u16>(thread_slot(slot, event, lane.lane));
+    a.sig = sm.ids.sig(a.thread_slot);
+    a.in_cs = sm.ids.in_cs(a.thread_slot);
+    a.l1_hit = lane.l1_hit;
+    a.l1_fill_cycle = lane.l1_fill;
+    global_rdu_->check(a, shadow_out);
+  };
+  // Check order is the coalescer's: line segments in first-touch order,
+  // lanes in touch order within each segment (a lane repeated back to
+  // back within a segment counts once). When each lane sits in one line
+  // and the lines never go back, as in a coalesced or strided warp, that
+  // is the lanes' own order.
+  if (in_line_order(event)) {
+    const Addr mask = ~(machine_.l1_line - 1);
+    for (size_t i = 0; i < event.lanes.size(); ++i) {
+      const TraceLane& lane = event.lanes[i];
+      if (i == 0 || lane.lane != event.lanes[i - 1].lane ||
+          (lane.addr & mask) != (event.lanes[i - 1].addr & mask))
+        check(lane);
     }
+  } else {
+    if (!is_store) load_lanes(event);
+    coalesce_.build(lanes_, machine_.l1_line);
+    for (u32 s = 0; s < coalesce_.size(); ++s)
+      for (u32 idx : coalesce_[s].access_indices) check(event.lanes[idx]);
   }
   global_checks_ += global_rdu_->checks() - before;
   return true;
