@@ -57,18 +57,10 @@ struct SharedShadowEntry {
   u16 tid = 0;
 
   static SharedShadowEntry unpack(u16 raw) {
-    SharedShadowEntry e;
-    e.m = (raw & 0x1) == 0;
-    e.s = (raw & 0x2) == 0;
-    e.tid = (raw >> 2) & kShadowTidMask;
-    return e;
+    return {(raw & 0x1) == 0, (raw & 0x2) == 0, static_cast<u16>((raw >> 2) & kShadowTidMask)};
   }
   u16 pack() const {
-    u16 raw = 0;
-    if (!m) raw |= 0x1;
-    if (!s) raw |= 0x2;
-    raw |= static_cast<u16>((tid & kShadowTidMask) << 2);
-    return raw;
+    return static_cast<u16>((m ? 0 : 0x1) | (s ? 0 : 0x2) | ((tid & kShadowTidMask) << 2));
   }
 };
 
@@ -87,30 +79,16 @@ struct GlobalShadowEntry {
   bool cs_seen = false;  ///< some recorded access was inside a critical section
 
   static GlobalShadowEntry unpack(u64 raw) {
-    GlobalShadowEntry e;
-    e.m = (raw & 0x1) == 0;
-    e.s = (raw & 0x2) == 0;
-    e.tid = static_cast<u16>((raw >> 2) & kShadowTidMask);
-    e.bid = static_cast<u8>((raw >> 12) & 0x7);
-    e.sid = static_cast<u8>((raw >> 15) & 0x1f);
-    e.sync_id = static_cast<u8>((raw >> 20) & 0xff);
-    e.fence_id = static_cast<u8>((raw >> 28) & 0xff);
-    e.sig = static_cast<u16>((raw >> 36) & 0xffff);
-    e.cs_seen = ((raw >> 52) & 0x1) != 0;
-    return e;
+    return {(raw & 0x1) == 0,           (raw & 0x2) == 0,
+            static_cast<u16>((raw >> 2) & kShadowTidMask),
+            static_cast<u8>((raw >> 12) & 0x7), static_cast<u8>((raw >> 15) & 0x1f),
+            static_cast<u8>(raw >> 20), static_cast<u8>(raw >> 28),
+            static_cast<u16>(raw >> 36),  ((raw >> 52) & 0x1) != 0};
   }
   u64 pack() const {
-    u64 raw = 0;
-    if (!m) raw |= 0x1;
-    if (!s) raw |= 0x2;
-    raw |= static_cast<u64>(tid & kShadowTidMask) << 2;
-    raw |= static_cast<u64>(bid & 0x7) << 12;
-    raw |= static_cast<u64>(sid & 0x1f) << 15;
-    raw |= static_cast<u64>(sync_id) << 20;
-    raw |= static_cast<u64>(fence_id) << 28;
-    raw |= static_cast<u64>(sig) << 36;
-    raw |= static_cast<u64>(cs_seen ? 1 : 0) << 52;
-    return raw;
+    return (m ? 0 : u64{0x1}) | (s ? 0 : u64{0x2}) | static_cast<u64>(tid & kShadowTidMask) << 2 |
+           static_cast<u64>(bid & 0x7) << 12 | static_cast<u64>(sid & 0x1f) << 15 |
+           u64{sync_id} << 20 | u64{fence_id} << 28 | u64{sig} << 36 | u64{cs_seen} << 52;
   }
 };
 

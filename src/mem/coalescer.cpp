@@ -52,9 +52,10 @@ void WawBuffer::build(const std::vector<LaneAccess>& accesses, u32 granule_bytes
   conflicts_.clear();
   // A warp whose granules rise lane by lane (the common unit-stride
   // store) has no two lanes on one granule.
+  const Addr mask = ~(granule_bytes - 1);
   bool rising = true;
   for (size_t i = 1; i < accesses.size() && rising; ++i)
-    rising = (accesses[i - 1].addr & ~(granule_bytes - 1)) < (accesses[i].addr & ~(granule_bytes - 1));
+    rising = (accesses[i - 1].addr & mask) < (accesses[i].addr & mask);
   if (rising) return;
   // Otherwise look each granule up in an open-addressed table at most
   // half full; a per-build stamp marks the live slots, so the table is
@@ -65,11 +66,11 @@ void WawBuffer::build(const std::vector<LaneAccess>& accesses, u32 granule_bytes
     table_.assign(size, Slot{});
     stamp_ = 1;
   }
-  const u32 mask = static_cast<u32>(table_.size() - 1);
+  const u32 slots = static_cast<u32>(table_.size() - 1);  // index mask
   for (const LaneAccess& a : accesses) {
-    const Addr granule = a.addr & ~(granule_bytes - 1);
-    u32 h = ((granule * 0x9E3779B1u) >> 16) & mask;
-    while (table_[h].stamp == stamp_ && table_[h].granule != granule) h = (h + 1) & mask;
+    const Addr granule = a.addr & mask;
+    u32 h = ((granule * 0x9E3779B1u) >> 16) & slots;
+    while (table_[h].stamp == stamp_ && table_[h].granule != granule) h = (h + 1) & slots;
     Slot& slot = table_[h];
     if (slot.stamp != stamp_) {
       slot = {stamp_, granule, a.lane, false};

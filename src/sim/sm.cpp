@@ -551,8 +551,9 @@ void Sm::exec_global_mem(WarpContext& warp, const Instr& ins, Cycle now) {
     e.width = static_cast<u8>(width);
     e.checked = detect && !is_atomic;
     e.lanes.resize(scratch_accesses_.size());
-    for (size_t i = 0; i < scratch_accesses_.size(); ++i)
-      e.lanes[i] = {static_cast<u8>(scratch_accesses_[i].lane), scratch_accesses_[i].addr, false, 0};
+    trace::TraceLane* lane = e.lanes.data();
+    for (const mem::LaneAccess& acc : scratch_accesses_)
+      *lane++ = {static_cast<u8>(acc.lane), acc.addr, false, 0};
   }
 
   u32 transactions = 0;
@@ -668,7 +669,8 @@ void Sm::exec_barrier(WarpContext& warp, Cycle now) {
 void Sm::exec_fence(WarpContext& warp, Cycle now) {
   ++fences_;
   ++warp.pc;
-  if (env_.trace != nullptr) stage_event(trace::EventKind::kFence, now).warp_slot = warp.warp_slot();
+  if (env_.trace != nullptr)
+    stage_event(trace::EventKind::kFence, now).warp_slot = warp.warp_slot();
   if (warp.outstanding_stores == 0) {
     warp.ready_at = now + env_.gpu->fence_latency;
     if (recording_) stage_event(trace::EventKind::kFenceCommit, now).warp_slot = warp.warp_slot();
@@ -842,11 +844,10 @@ void Sm::execute(WarpContext& warp, Cycle now) {
         e.warp_slot = warp.warp_slot();
         e.warp_in_block = warp.warp_in_block();
         e.pc = warp.pc;
-        e.lanes.resize(std::popcount(warp.active));
-        u32 n = 0;
         for (u32 lane = 0; lane < env_.gpu->warp_size; ++lane) {
           if (!warp.lane_active(lane)) continue;
-          e.lanes[n++] = {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0};
+          e.lanes.push_back(
+              {static_cast<u8>(lane), acquire ? warp.reg(ins.src0, lane) : 0, false, 0});
         }
       }
       ++warp.pc;

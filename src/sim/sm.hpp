@@ -8,9 +8,11 @@
 // whose completions wake the warp.
 //
 // Detection: the SM checks nothing itself. When detection or tracing is
-// on it builds a trace::Event per memory, sync and block event, and the
-// run's trace::Detector and TraceWriter consume them serially, in file
-// order: staged issue-phase events in flush_events(), global events in
+// on it builds a trace::Event per memory, sync and block event (those
+// the detector would only bounds-check — barrier arrivals, fence issues,
+// unchecked shared accesses — only for the trace writer), and the run's
+// trace::Detector and TraceWriter consume them serially, in file order:
+// staged issue-phase events in flush_events(), global events in
 // commit_epoch(), block launches in try_launch_block(). Detection
 // outcomes never feed back into timing, so the SM only needs addresses.
 //
@@ -101,7 +103,6 @@ class Sm {
   }
 
   bool busy() const { return resident_blocks_ > 0; }
-  u32 resident_blocks() const { return resident_blocks_; }
   u32 blocks_completed() const { return blocks_completed_; }
   /// A detector or trace writer consumes this SM's events.
   bool recording() const { return recording_; }

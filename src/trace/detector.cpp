@@ -89,23 +89,11 @@ rd::AccessInfo Detector::event_access(const Event& event, bool is_write) const {
 }
 
 void Detector::load_lanes(const Event& event) {
+  lanes_.clear();
   // A damaged trace can carry width 0; coalescing it as one byte keeps
   // the segment walk bounded.
   const u8 size = std::max<u8>(event.width, 1);
-  lanes_.resize(event.lanes.size());
-  for (size_t i = 0; i < lanes_.size(); ++i) lanes_[i] = {event.lanes[i].lane, event.lanes[i].addr, size};
-}
-
-bool Detector::in_line_order(const Event& event) const {
-  const Addr mask = ~(machine_.l1_line - 1);
-  const u8 size = std::max<u8>(event.width, 1);
-  Addr prev = 0;
-  for (const TraceLane& lane : event.lanes) {
-    const Addr line = lane.addr & mask;
-    if (((lane.addr + size - 1) & mask) != line || line < prev) return false;
-    prev = line;
-  }
-  return true;
+  for (const TraceLane& lane : event.lanes) lanes_.push_back({lane.lane, lane.addr, size});
 }
 
 void Detector::record_waw(const BlockSlot& slot, const Event& event, rd::MemSpace space) {
@@ -192,14 +180,17 @@ bool Detector::on_global(const Event& event, std::vector<Addr>& shadow_out) {
   // back within a segment counts once). When each lane sits in one line
   // and the lines never go back, as in a coalesced or strided warp, that
   // is the lanes' own order.
-  if (in_line_order(event)) {
-    const Addr mask = ~(machine_.l1_line - 1);
-    for (size_t i = 0; i < event.lanes.size(); ++i) {
-      const TraceLane& lane = event.lanes[i];
-      if (i == 0 || lane.lane != event.lanes[i - 1].lane ||
-          (lane.addr & mask) != (event.lanes[i - 1].addr & mask))
-        check(lane);
-    }
+  const Addr mask = ~(machine_.l1_line - 1);
+  const auto line = [&](size_t i) { return event.lanes[i].addr & mask; };
+  const u8 last_byte = std::max<u8>(event.width, 1) - 1;
+  bool in_order = true;
+  for (size_t i = 0; in_order && i < event.lanes.size(); ++i)
+    in_order = ((event.lanes[i].addr + last_byte) & mask) == line(i) &&
+               (i == 0 || line(i - 1) <= line(i));
+  if (in_order) {
+    for (size_t i = 0; i < event.lanes.size(); ++i)
+      if (i == 0 || event.lanes[i].lane != event.lanes[i - 1].lane || line(i) != line(i - 1))
+        check(event.lanes[i]);
   } else {
     if (!is_store) load_lanes(event);
     coalesce_.build(lanes_, machine_.l1_line);
@@ -225,21 +216,16 @@ bool Detector::consume(const Event& event, std::vector<Addr>* shadow_out) {
         sm.shared_rdu->reset_region(event.smem_base, event.smem_bytes);
       return true;
     }
-    case EventKind::kBlockFinish: {
-      if (!check_context(event, /*need_slot=*/true)) return false;
-      SmState& sm = sms_[event.sm];
-      if (sm.shared_rdu != nullptr && event.smem_bytes > 0)
-        sm.shared_rdu->reset_region(event.smem_base, event.smem_bytes);
-      return true;
-    }
     case EventKind::kBarrierArrive:
       return check_context(event, /*need_slot=*/true);
+    case EventKind::kBlockFinish:
     case EventKind::kBarrierRelease: {
       if (!check_context(event, /*need_slot=*/true)) return false;
       SmState& sm = sms_[event.sm];
       if (sm.shared_rdu != nullptr && event.smem_bytes > 0)
         sm.shared_rdu->reset_region(event.smem_base, event.smem_bytes);
-      if (config_.enable_global) sm.ids.on_barrier(event.block_slot);
+      if (event.kind == EventKind::kBarrierRelease && config_.enable_global)
+        sm.ids.on_barrier(event.block_slot);
       return true;
     }
     case EventKind::kFence:

@@ -112,9 +112,6 @@ class Detector {
   rd::AccessInfo event_access(const Event& event, bool is_write) const;
   /// Load the event's lanes into lanes_ (the coalescer's input).
   void load_lanes(const Event& event);
-  /// True when every lane lies within one L1 line and the lines never
-  /// decrease: the coalescer's check order is then lane order.
-  bool in_line_order(const Event& event) const;
   /// Record the intra-warp WAWs of a store event (Sec. III-A).
   void record_waw(const BlockSlot& slot, const Event& event, rd::MemSpace space);
   bool on_shared(const Event& event);

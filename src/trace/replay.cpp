@@ -102,11 +102,8 @@ struct KernelState {
 /// same slot. The mutex guards only acquire/release (per kernel, not
 /// per event).
 struct ReplayArena::Impl {
-  struct Slot {
-    std::unique_ptr<KernelState> state;
-  };
   std::mutex mu;
-  std::map<std::pair<u32, u32>, Slot> slots;
+  std::map<std::pair<u32, u32>, std::unique_ptr<KernelState>> slots;
   u64 reuses = 0;
   u64 builds = 0;
 };
@@ -210,7 +207,7 @@ class ReplayEngine {
     if (opts_.arena != nullptr) {
       ReplayArena::Impl& arena = opts_.arena->impl();
       std::lock_guard<std::mutex> lock(arena.mu);
-      arena.slots[{opts_.shard_count, opts_.shard_index}].state = std::move(state_);
+      arena.slots[{opts_.shard_count, opts_.shard_index}] = std::move(state_);
     }
     state_.reset();
   }
@@ -236,7 +233,7 @@ class ReplayEngine {
       {
         std::lock_guard<std::mutex> lock(arena.mu);
         auto it = arena.slots.find({opts_.shard_count, opts_.shard_index});
-        if (it != arena.slots.end()) state_ = std::move(it->second.state);
+        if (it != arena.slots.end()) state_ = std::move(it->second);
       }
       const bool reused = state_ != nullptr && state_->serves(h, opts_);
       // An incompatible cached state is simply dropped; the fresh build
