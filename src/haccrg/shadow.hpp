@@ -79,11 +79,10 @@ struct GlobalShadowEntry {
   bool cs_seen = false;  ///< some recorded access was inside a critical section
 
   static GlobalShadowEntry unpack(u64 raw) {
-    return {(raw & 0x1) == 0,           (raw & 0x2) == 0,
-            static_cast<u16>((raw >> 2) & kShadowTidMask),
+    return {(raw & 0x1) == 0, (raw & 0x2) == 0, static_cast<u16>((raw >> 2) & kShadowTidMask),
             static_cast<u8>((raw >> 12) & 0x7), static_cast<u8>((raw >> 15) & 0x1f),
-            static_cast<u8>(raw >> 20), static_cast<u8>(raw >> 28),
-            static_cast<u16>(raw >> 36),  ((raw >> 52) & 0x1) != 0};
+            static_cast<u8>(raw >> 20), static_cast<u8>(raw >> 28), static_cast<u16>(raw >> 36),
+            ((raw >> 52) & 0x1) != 0};
   }
   u64 pack() const {
     return (m ? 0 : u64{0x1}) | (s ? 0 : u64{0x2}) | static_cast<u64>(tid & kShadowTidMask) << 2 |
